@@ -31,6 +31,16 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
+	$(GO) test -run xxx -bench 'BenchmarkWriteResult' -benchmem -benchtime 1x ./internal/serve
+
+# servebench-smoke vets and tests the serving benchmark, then runs one
+# second of its hot-small workload; it fails unless the final JSON line
+# reports every served body byte-identical to the §3.3 oracle
+# ("correct":true).
+.PHONY: servebench-smoke
+servebench-smoke:
+	cd servebench && $(GO) vet ./... && $(GO) test ./...
+	bash servebench/run.sh --workload hot-small --seed 1 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # loadsmoke drives the in-process hospital server through a short ramp
 # and fails (exit 2) if overload is reached without the admitted-latency

@@ -193,10 +193,15 @@ func queryOnce(engine *core.Engine, doc *xmltree.Document, p xpath.Path, timeout
 	return engine.QueryCtx(ctx, doc, p)
 }
 
+// printResult writes the answer the way svserve's /query body carries
+// it (without the envelope): every node appended into one buffer, one
+// write.
 func printResult(result []*xmltree.Node) {
+	var b []byte
 	for _, n := range result {
-		fmt.Print(n.String())
+		b = n.AppendXML(b)
 	}
+	os.Stdout.Write(b)
 }
 
 // printStats dumps the engine counters; when qm carries a surfaced

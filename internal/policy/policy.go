@@ -298,10 +298,17 @@ func (r *Registry) ViewDTD(class string, params map[string]string) (*dtd.DTD, er
 	return e.ViewDTD(), nil
 }
 
-// bindingKey canonicalizes a parameter binding for the engine cache.
+// bindingKey canonicalizes a parameter binding for the engine cache:
+// "k=v;" per parameter, sorted by name. It runs on every request, so the
+// common single-parameter binding is one concatenation.
 func bindingKey(params map[string]string) string {
-	if len(params) == 0 {
+	switch len(params) {
+	case 0:
 		return ""
+	case 1:
+		for k, v := range params {
+			return k + "=" + v + ";"
+		}
 	}
 	keys := make([]string, 0, len(params))
 	for k := range params {
@@ -310,7 +317,10 @@ func bindingKey(params map[string]string) string {
 	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s;", k, params[k])
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(params[k])
+		b.WriteByte(';')
 	}
 	return b.String()
 }

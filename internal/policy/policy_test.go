@@ -273,3 +273,25 @@ func TestRegistryBumpEpochInvalidatesAnswers(t *testing.T) {
 		t.Errorf("post-swap answer = %v, want [Carol Alice Bob] — a pre-swap answer leaked", texts(after))
 	}
 }
+
+// TestBindingKey pins the engine-cache key bytes: "k=v;" per parameter,
+// sorted by name, for 0, 1 and several parameters.
+func TestBindingKey(t *testing.T) {
+	for _, c := range []struct {
+		params map[string]string
+		want   string
+	}{
+		{nil, ""},
+		{map[string]string{}, ""},
+		{map[string]string{"wardNo": "1"}, "wardNo=1;"},
+		{map[string]string{"z": "3", "a": "1", "m": "two words"}, "a=1;m=two words;z=3;"},
+	} {
+		if got := bindingKey(c.params); got != c.want {
+			t.Errorf("bindingKey(%v) = %q, want %q", c.params, got, c.want)
+		}
+	}
+	one := map[string]string{"wardNo": "1"}
+	if a := testing.AllocsPerRun(100, func() { _ = bindingKey(one) }); a > 1 {
+		t.Errorf("single-parameter bindingKey: %v allocs, want at most 1", a)
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -930,17 +931,35 @@ func (s *Server) badRequest(w http.ResponseWriter, err error) {
 }
 
 // writeResult wraps the selected nodes in a <result> envelope so the
-// response body is a single well-formed XML document.
+// response body is a single well-formed XML document. The envelope and
+// every node are appended into one pooled buffer and sent with a single
+// Write.
 func writeResult(w http.ResponseWriter, nodes []*xmltree.Node) {
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	var b strings.Builder
-	fmt.Fprintf(&b, "<result count=\"%d\">\n", len(nodes))
+	bp := resultBufs.Get().(*[]byte)
+	b := append((*bp)[:0], `<result count="`...)
+	b = strconv.AppendInt(b, int64(len(nodes)), 10)
+	b = append(b, "\">\n"...)
 	for _, n := range nodes {
-		b.WriteString(n.String())
+		b = n.AppendXML(b)
 	}
-	b.WriteString("</result>\n")
-	w.Write([]byte(b.String()))
+	b = append(b, "</result>\n"...)
+	w.Write(b)
+	if cap(b) <= maxPooledResult {
+		*bp = b
+		resultBufs.Put(bp)
+	}
 }
+
+// resultBufs recycles writeResult's response buffers. A buffer that
+// grew past maxPooledResult for one huge answer is left to the garbage
+// collector rather than pinned in the pool.
+var resultBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
+
+const maxPooledResult = 64 << 10
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -81,14 +81,3 @@ func MustParseString(s string) *Document {
 	}
 	return d
 }
-
-// Serialize writes the document as XML to w.
-func (d *Document) Serialize(w io.Writer) error {
-	_, err := io.WriteString(w, d.Root.String())
-	return err
-}
-
-// XML returns the document serialized as an indented XML string.
-func (d *Document) XML() string {
-	return d.Root.String()
-}

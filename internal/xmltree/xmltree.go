@@ -11,7 +11,6 @@
 package xmltree
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -375,56 +374,4 @@ func CoverSize(nodes []*Node) int {
 		limit = n.ord + n.desc
 	}
 	return size
-}
-
-// String renders the subtree rooted at n as indented XML (see
-// serialize.go for the full document serializer).
-func (n *Node) String() string {
-	var b strings.Builder
-	writeNode(&b, n, 0)
-	return b.String()
-}
-
-func writeNode(b *strings.Builder, n *Node, depth int) {
-	indent := strings.Repeat("  ", depth)
-	if n.Kind == TextNode {
-		fmt.Fprintf(b, "%s%s\n", indent, escapeText(n.Data))
-		return
-	}
-	b.WriteString(indent)
-	b.WriteByte('<')
-	b.WriteString(n.Label)
-	writeAttrs(b, n)
-	if len(n.Children) == 0 {
-		b.WriteString("/>\n")
-		return
-	}
-	if len(n.Children) == 1 && n.Children[0].Kind == TextNode {
-		fmt.Fprintf(b, ">%s</%s>\n", escapeText(n.Children[0].Data), n.Label)
-		return
-	}
-	b.WriteString(">\n")
-	for _, c := range n.Children {
-		writeNode(b, c, depth+1)
-	}
-	fmt.Fprintf(b, "%s</%s>\n", indent, n.Label)
-}
-
-func writeAttrs(b *strings.Builder, n *Node) {
-	if len(n.Attrs) == 0 {
-		return
-	}
-	names := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(b, " %s=%q", k, n.Attrs[k])
-	}
-}
-
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
 }
