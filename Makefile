@@ -29,7 +29,7 @@ bench:
 # between loadbench refreshes.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep' -benchmem -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkQualifiedScan' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
 	$(GO) test -run xxx -bench 'BenchmarkWriteResult' -benchmem -benchtime 1x ./internal/serve
 

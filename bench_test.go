@@ -15,7 +15,9 @@ package securexml
 // EXPERIMENTS.md records paper-reported vs measured values.
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -626,6 +628,82 @@ func BenchmarkGenerate(b *testing.B) {
 				xmlgen.Generate(dtds.Adex(), xmlgen.Config{Seed: int64(i), MaxRepeat: repeat})
 			}
 		})
+	}
+}
+
+// ---------- qualifier-gated plans on the large hospital document ----------
+
+// BenchmarkQualifiedScan evaluates twelve selective view queries of the
+// nurse class (ward 1) on the 10,254-node hospital document: the
+// servebench scan-large query shapes, with constants picked by position
+// from the ward's view. Their plans are rewritten and optimized once;
+// the loop is indexed bitset evaluation alone, where every candidate
+// patient or staff node is checked against a qualifier, so allocs/op
+// shows any per-candidate allocation.
+func BenchmarkQualifiedScan(b *testing.B) {
+	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := core.New(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc := dtds.GenerateHospital(1, 48)
+	texts := func(q string) []string {
+		nodes, err := e.QueryString(doc, q)
+		if err != nil || len(nodes) == 0 {
+			b.Fatalf("%s: %d nodes, err %v", q, len(nodes), err)
+		}
+		out := make([]string, len(nodes))
+		for i, n := range nodes {
+			out[i] = n.Text()
+		}
+		return out
+	}
+	names, bills := texts("//patient/name"), texts("//patient/treatment//bill")
+	meds := texts("//patient/treatment//medication")
+	nurses, doctors := texts("//staff/nurse/name"), texts("//staff/doctor/name")
+	at := func(vals []string, k int) string { return strconv.Quote(vals[k*len(vals)/16]) }
+	queries := []string{
+		`//patient[treatment//medication = ` + at(meds, 1) + `]/name`,
+		`//patient[name = ` + at(names, 2) + `]/treatment//bill`,
+		`//patient[.//bill = ` + at(bills, 3) + `]/wardNo`,
+		`//dept//patient[name = ` + at(names, 4) + `]/wardNo`,
+		`//patientInfo/patient[treatment//bill = ` + at(bills, 5) + ` or name = ` + at(names, 6) + `]/name`,
+		`//staff[nurse/name = ` + at(nurses, 8) + `]/nurse/name`,
+		`//staff[doctor/name = ` + at(doctors, 8) + `]/doctor/name`,
+		`//patient[name = ` + at(names, 7) + `]//medication`,
+		`//patient[not(treatment//medication) and name = ` + at(names, 8) + `]/name`,
+		`//patient[treatment//medication = ` + at(meds, 10) + ` and name = ` + at(names, 10) + `]/wardNo`,
+		`//dept//patient[wardNo = "1" and treatment//medication = ` + at(meds, 12) + `]/name`,
+		`//patient[name = ` + at(names, 9) + ` or name = ` + at(names, 11) + `]/treatment//medication`,
+	}
+	plans := make([]xpath.Path, len(queries))
+	want := make([]int, len(queries))
+	for i, q := range queries {
+		prep, err := e.PrepareString(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans[i] = prep.Optimized
+		res, err := e.QueryString(doc, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want[i] = len(res)
+	}
+	idx := xpath.NewIndex(doc)
+	ctx := context.Background()
+	b.ReportMetric(float64(doc.Size()), "docnodes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, p := range plans {
+			out, _, err := xpath.EvalIndexedCtxCounted(ctx, p, idx)
+			if err != nil || len(out) != want[j] {
+				b.Fatalf("%s: %d nodes, want %d, err %v", queries[j], len(out), want[j], err)
+			}
+		}
 	}
 }
 

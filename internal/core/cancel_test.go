@@ -14,10 +14,12 @@ import (
 	"repro/internal/xmltree"
 )
 
-// heavyQuery is expensive over a large hospital document: the nested
-// descendant qualifiers force repeated subtree walks, so evaluation runs
-// long enough for a millisecond deadline to fire mid-flight.
-const heavyQuery = "//*[//name]//*[//name]//name"
+// heavyQuery is expensive over a large hospital document: its nested
+// descendant qualifiers are negated comparisons that never match, so
+// no qualifier check can stop at a first witness and each one walks
+// whole subtrees. Evaluation runs long enough for a millisecond
+// deadline to fire mid-flight.
+const heavyQuery = `//*[not(.//*[.//* = "absent"])]//*[not(.//*[.//* = "absent"])]//name`
 
 // bigHospital generates a hospital document with high fan-out (dept*,
 // patient*, staff* all repeat 28-30 times, ~20k nodes), large enough

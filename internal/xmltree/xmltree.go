@@ -146,18 +146,52 @@ func (n *Node) Subtree() []*Node {
 }
 
 // Text returns the concatenated PCDATA of the node's text children (for
-// elements) or the node's own data (for text nodes).
+// elements) or the node's own data (for text nodes). An element with at
+// most one text child returns that child's Data without copying.
 func (n *Node) Text() string {
 	if n.Kind == TextNode {
 		return n.Data
 	}
-	var b strings.Builder
-	for _, c := range n.Children {
-		if c.Kind == TextNode {
-			b.WriteString(c.Data)
+	var first *Node
+	for i, c := range n.Children {
+		if c.Kind != TextNode {
+			continue
 		}
+		if first == nil {
+			first = c
+			continue
+		}
+		var b strings.Builder
+		b.WriteString(first.Data)
+		for _, c := range n.Children[i:] {
+			if c.Kind == TextNode {
+				b.WriteString(c.Data)
+			}
+		}
+		return b.String()
 	}
-	return b.String()
+	if first == nil {
+		return ""
+	}
+	return first.Data
+}
+
+// TextEquals reports whether Text() == s, matching s against the text
+// children one segment at a time so the comparison allocates nothing.
+func (n *Node) TextEquals(s string) bool {
+	if n.Kind == TextNode {
+		return n.Data == s
+	}
+	for _, c := range n.Children {
+		if c.Kind != TextNode {
+			continue
+		}
+		if len(c.Data) > len(s) || s[:len(c.Data)] != c.Data {
+			return false
+		}
+		s = s[len(c.Data):]
+	}
+	return s == ""
 }
 
 // ChildLabels returns the labels of the node's children in order, with

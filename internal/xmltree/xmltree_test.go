@@ -61,6 +61,38 @@ func TestTextAndChildLabels(t *testing.T) {
 	}
 }
 
+// TestTextEquals pins TextEquals(s) == (Text() == s) on every shape of
+// string value: a bare text node, an empty element, one text child,
+// mixed content whose text children are split by elements, prefixes
+// and over-long strings, and multi-byte text.
+func TestTextEquals(t *testing.T) {
+	nodes := map[string]*Node{
+		"text node":      Txt("Alice"),
+		"empty element":  E("name"),
+		"one text child": T("name", "Alice"),
+		"mixed":          E("name", Txt("Al"), E("b", Txt("skipped")), Txt("ic"), E("i"), Txt("e")),
+		"adjacent text":  E("name", Txt("Ali"), Txt(""), Txt("ce")),
+		"element only":   E("name", E("b", Txt("Alice"))),
+		"non-ASCII":      E("name", Txt("Zoë "), E("br"), Txt("Müller—日本")),
+	}
+	probes := []string{"", "A", "Al", "Ali", "Alic", "Alice", "Alice ", "Alicee", "alice",
+		"Zoë", "Zoë ", "Zoë Müller—日本", "Zoë Müller—日", "Zoe Müller—日本", "Zoë Müller—日本!"}
+	for name, n := range nodes {
+		for _, s := range append(probes, n.Text()) {
+			if got, want := n.TextEquals(s), n.Text() == s; got != want {
+				t.Errorf("%s: TextEquals(%q) = %v, Text() = %q", name, s, got, n.Text())
+			}
+		}
+	}
+	if got := nodes["mixed"].Text(); got != "Alice" {
+		t.Errorf("mixed Text() = %q, want Alice", got)
+	}
+	one := T("name", "Alice")
+	if n := testing.AllocsPerRun(100, func() { _ = one.Text(); _ = one.TextEquals("Alice") }); n != 0 {
+		t.Errorf("single-text-child Text and TextEquals allocate %v times, want 0", n)
+	}
+}
+
 func TestAncestor(t *testing.T) {
 	d := sampleDoc()
 	dept := d.Root.Children[0]

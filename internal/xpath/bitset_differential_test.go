@@ -10,7 +10,9 @@ package xpath_test
 // detached (never-renumbered) context falls back to the slice path with
 // the same answers, and ordinal answer-cache entries die with the
 // numbering that defined them when the arena is swapped out underneath
-// them (Document.Generation).
+// them (Document.Generation). A qualifier-heavy family pins the
+// node-local qualifier walk against the set-at-a-time form it replaced
+// and against the plain reference walk.
 
 import (
 	"fmt"
@@ -19,6 +21,9 @@ import (
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/dtds"
+	"repro/internal/rewrite"
+	"repro/internal/secview"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -300,4 +305,308 @@ func TestBitsetSurvivesArenaSwap(t *testing.T) {
 			t.Fatalf("node %d label changed across swap: %s vs %s", i, before[i].Label, after[i].Label)
 		}
 	}
+}
+
+// randQualHeavy draws from the qualifier family the node-local walk
+// must decide: nested qualifiers, and/or/not, unions and wildcards
+// inside [...], // inside [...], and string comparisons against
+// constants taken from the document, so that many of them hit.
+func randQualHeavy(r *rand.Rand, labels, consts []string, depth int) xpath.Qual {
+	if depth <= 0 {
+		if r.Intn(2) == 0 {
+			return xpath.QEq{Path: randQualPath(r, labels, consts, 0), Value: consts[r.Intn(len(consts))]}
+		}
+		return xpath.QPath{Path: randQualPath(r, labels, consts, 0)}
+	}
+	switch r.Intn(7) {
+	case 0:
+		return xpath.QAnd{Left: randQualHeavy(r, labels, consts, depth-1), Right: randQualHeavy(r, labels, consts, depth-1)}
+	case 1:
+		return xpath.QOr{Left: randQualHeavy(r, labels, consts, depth-1), Right: randQualHeavy(r, labels, consts, depth-1)}
+	case 2:
+		return xpath.QNot{Sub: randQualHeavy(r, labels, consts, depth-1)}
+	case 3, 4:
+		return xpath.QEq{Path: randQualPath(r, labels, consts, depth-1), Value: consts[r.Intn(len(consts))]}
+	default:
+		return xpath.QPath{Path: randQualPath(r, labels, consts, depth-1)}
+	}
+}
+
+// randQualPath draws a path to sit inside a qualifier.
+func randQualPath(r *rand.Rand, labels, consts []string, depth int) xpath.Path {
+	if depth <= 0 {
+		switch r.Intn(6) {
+		case 0:
+			return xpath.Self{}
+		case 1:
+			return xpath.Wildcard{}
+		case 2:
+			return xpath.Descend{Sub: xpath.Label{Name: labels[r.Intn(len(labels))]}}
+		default:
+			return xpath.Label{Name: labels[r.Intn(len(labels))]}
+		}
+	}
+	sub := func() xpath.Path { return randQualPath(r, labels, consts, depth-1) }
+	switch r.Intn(8) {
+	case 0, 1:
+		return xpath.Seq{Left: sub(), Right: sub()}
+	case 2:
+		return xpath.Descend{Sub: sub()}
+	case 3:
+		return xpath.Union{Left: sub(), Right: sub()}
+	case 4:
+		return xpath.Qualified{Sub: sub(), Cond: randQualHeavy(r, labels, consts, depth-1)}
+	case 5:
+		return xpath.Empty{}
+	default:
+		return randQualPath(r, labels, consts, 0)
+	}
+}
+
+// docConsts collects string values to compare against: every node's
+// Text(), plus a strict prefix and an over-long extension of some.
+func docConsts(r *rand.Rand, doc *xmltree.Document) []string {
+	seen := map[string]bool{}
+	var out []string
+	add := func(s string) {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	for _, n := range doc.Nodes() {
+		v := n.Text()
+		add(v)
+		if v != "" && r.Intn(4) == 0 {
+			add(v[:r.Intn(len(v))])
+			add(v + "x")
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// withMixedContent returns a compacted copy of doc in which some
+// single-text elements became mixed content: the text is split at a
+// random byte, and the halves are separated by a new element (labelled
+// from labels) or left adjacent, so string values span several text
+// children.
+func withMixedContent(r *rand.Rand, doc *xmltree.Document, labels []string) *xmltree.Document {
+	root := doc.Root.Clone()
+	var targets []*xmltree.Node
+	root.Walk(func(n *xmltree.Node) bool {
+		if n.Kind == xmltree.ElementNode && len(n.Children) == 1 &&
+			n.Children[0].Kind == xmltree.TextNode && r.Intn(3) == 0 {
+			targets = append(targets, n)
+		}
+		return true
+	})
+	for _, n := range targets {
+		data := n.Children[0].Data
+		k := r.Intn(len(data) + 1)
+		n.Children = nil
+		n.AppendChild(xmltree.NewText(data[:k]))
+		if r.Intn(3) != 0 {
+			n.AppendChild(xmltree.T(labels[r.Intn(len(labels))], "m"))
+		}
+		n.AppendChild(xmltree.NewText(data[k:]))
+	}
+	out := xmltree.NewDocument(root)
+	out.Compact()
+	return out
+}
+
+// qualTally counts how the checked (qualifier, node) pairs came out, so
+// a sweep can prove it exercised both answers.
+type qualTally struct{ checks, hits int }
+
+// checkQualForms decides q at every node of doc three ways — the
+// node-local walk, the set-at-a-time pathAtNode form, and the plain
+// reference walk on the uncompacted twin — and fails on any
+// disagreement.
+func checkQualForms(t *testing.T, label string, doc, twin *xmltree.Document, q xpath.Qual, tally *qualTally) {
+	t.Helper()
+	for ord, v := range doc.Nodes() {
+		local, err := xpath.QualNodeLocal(q, v)
+		if err != nil {
+			t.Fatalf("%s: node-local %s: %v", label, xpath.QualString(q), err)
+		}
+		set, err := xpath.QualSetAtATime(q, v)
+		if err != nil {
+			t.Fatalf("%s: set-at-a-time %s: %v", label, xpath.QualString(q), err)
+		}
+		ref, err := xpath.EvalQualErr(q, twin.Nodes()[ord])
+		if err != nil {
+			t.Fatalf("%s: reference walk %s: %v", label, xpath.QualString(q), err)
+		}
+		if local != set || local != ref {
+			t.Fatalf("%s: [%s] at %s (ord %d): node-local %v, set-at-a-time %v, reference %v",
+				label, xpath.QualString(q), v.Path(), ord, local, set, ref)
+		}
+		tally.checks++
+		if local {
+			tally.hits++
+		}
+	}
+}
+
+// checkQualifiedPlan evaluates //*[q] over the compacted document
+// (bitset path, sequential and indexed) and over its twin (slice path).
+func checkQualifiedPlan(t *testing.T, label string, doc, twin *xmltree.Document, q xpath.Qual) {
+	t.Helper()
+	p := xpath.Descend{Sub: xpath.Qualified{Sub: xpath.Wildcard{}, Cond: q}}
+	want, err := xpath.EvalDocErr(p, twin)
+	if err != nil {
+		t.Fatalf("%s: slice eval %s: %v", label, xpath.String(p), err)
+	}
+	got, err := xpath.EvalDocErr(p, doc)
+	if err != nil {
+		t.Fatalf("%s: bitset eval %s: %v", label, xpath.String(p), err)
+	}
+	assertSameOrds(t, label+": bitset ≠ slice on "+xpath.String(p), got, want)
+	gotIdx, err := xpath.EvalIndexedErr(p, xpath.NewIndex(doc))
+	if err != nil {
+		t.Fatalf("%s: indexed eval %s: %v", label, xpath.String(p), err)
+	}
+	assertSameOrds(t, label+": indexed ≠ slice on "+xpath.String(p), gotIdx, want)
+}
+
+// TestDifferentialQualifierFamilyHospital runs the qualifier-heavy
+// family on hospital documents, plain and with mixed content.
+func TestDifferentialQualifierFamilyHospital(t *testing.T) {
+	r := rand.New(rand.NewSource(20261017))
+	labels := append(dtds.Hospital().Types(), xpath.TextName)
+	var tally qualTally
+	for trial := 0; trial < 8; trial++ {
+		doc := dtds.GenerateHospital(int64(trial), 2+r.Intn(3))
+		if trial%2 == 1 {
+			doc = withMixedContent(r, doc, labels)
+		}
+		twin := sliceTwin(t, doc)
+		consts := docConsts(r, doc)
+		for i := 0; i < 25; i++ {
+			q := randQualHeavy(r, labels, consts, 3)
+			name := fmt.Sprintf("hospital trial %d (%d nodes)", trial, doc.Size())
+			checkQualForms(t, name, doc, twin, q, &tally)
+			checkQualifiedPlan(t, name, doc, twin, q)
+		}
+	}
+	t.Logf("%d checks, %d held", tally.checks, tally.hits)
+	if tally.hits == 0 || tally.hits == tally.checks {
+		t.Fatalf("degenerate sweep: %d of %d checks held", tally.hits, tally.checks)
+	}
+}
+
+// TestDifferentialQualifierFamilyRecursive runs the family on documents
+// of random recursive DTDs, with qualifier-bearing plans rewritten over
+// their recursive security views: those plans carry Rec steps inside
+// qualifiers, which take the set-at-a-time fallback inside the walk.
+func TestDifferentialQualifierFamilyRecursive(t *testing.T) {
+	r := rand.New(rand.NewSource(20261018))
+	var tally qualTally
+	recQuals := 0
+	for trial := 0; trial < 30; trial++ {
+		spec := dtds.RandomRecursiveSpec(r, dtds.RecursiveGen{
+			Depth:     3 + r.Intn(3),
+			Branching: 1 + r.Intn(2),
+			Density:   0.3 + r.Float64()*0.4,
+		})
+		doc := xmlgen.Generate(spec.D, xmlgen.Config{
+			Seed: r.Int63(), MinRepeat: 1, MaxRepeat: 2, MaxDepth: 10, MaxNodes: 400,
+		})
+		labels := append(spec.D.Types(), xpath.TextName)
+		if trial%2 == 1 {
+			doc = withMixedContent(r, doc, labels)
+		}
+		twin := sliceTwin(t, doc)
+		consts := docConsts(r, doc)
+		name := fmt.Sprintf("recursive trial %d (%d nodes, height %d)", trial, doc.Size(), doc.Height())
+		quals := []xpath.Qual{recQual(r, labels, consts), randQualHeavy(r, labels, consts, 2)}
+		if v, err := secview.Derive(spec); err == nil && v.IsRecursive() {
+			if rw, err := rewrite.ForView(v); err == nil {
+				viewLabels := append(v.DTD.Types(), xpath.TextName)
+				for i := 0; i < 3; i++ {
+					q := xpath.Descend{Sub: xpath.Qualified{
+						Sub:  xpath.Wildcard{},
+						Cond: randQualHeavy(r, viewLabels, consts, 2),
+					}}
+					plan, err := rw.Rewrite(q)
+					if err != nil {
+						continue
+					}
+					// A rewritten plan repeats its view qualifiers on
+					// many σ edges; a few Rec-bearing ones suffice.
+					n := 0
+					for _, pq := range planQuals(plan) {
+						if n < 2 && qualHasRec(pq) {
+							quals = append(quals, pq)
+							n++
+						}
+					}
+				}
+			}
+		}
+		for _, q := range quals {
+			if qualHasRec(q) {
+				recQuals++
+			}
+			checkQualForms(t, name, doc, twin, q, &tally)
+		}
+		checkQualifiedPlan(t, name, doc, twin, quals[0])
+	}
+	t.Logf("%d checks, %d held, %d Rec-bearing qualifiers", tally.checks, tally.hits, recQuals)
+	if recQuals < 40 {
+		t.Fatalf("only %d qualifiers carried a Rec step; the fallback went untested", recQuals)
+	}
+	if tally.hits == 0 || tally.hits == tally.checks {
+		t.Fatalf("degenerate sweep: %d of %d checks held", tally.hits, tally.checks)
+	}
+}
+
+// recQual builds a qualifier around a hand-made Rec automaton that
+// walks any number of element steps and accepts at a random label, in
+// the existential and the string-comparison forms.
+func recQual(r *rand.Rand, labels, consts []string) xpath.Qual {
+	accept := labels[r.Intn(len(labels))]
+	g := xpath.NewRecGraph(map[string][]xpath.RecEdge{
+		"walk": {
+			{To: "walk", Sig: xpath.Wildcard{}},
+			{To: "hit", Sig: xpath.Label{Name: accept}},
+		},
+		"hit": nil,
+	})
+	rec := xpath.Rec{G: g, Start: "walk", Accept: "hit", ResultLabel: accept}
+	if r.Intn(2) == 0 {
+		return xpath.QPath{Path: xpath.Seq{Left: rec, Right: randQualPath(r, labels, consts, 1)}}
+	}
+	return xpath.QEq{Path: rec, Value: consts[r.Intn(len(consts))]}
+}
+
+// planQuals collects every qualifier of a plan, including those on the
+// σ edges of its Rec steps.
+func planQuals(p xpath.Path) []xpath.Qual {
+	var out []xpath.Qual
+	for _, sub := range xpath.Subqueries(p) {
+		switch sub := sub.(type) {
+		case xpath.Qualified:
+			out = append(out, sub.Cond)
+		case xpath.Rec:
+			for _, s := range sub.G.States() {
+				for _, e := range sub.G.EdgesFrom(s) {
+					out = append(out, planQuals(e.Sig)...)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// qualHasRec reports whether a Rec step occurs in q's paths.
+func qualHasRec(q xpath.Qual) bool {
+	for _, sub := range xpath.Subqueries(xpath.Qualified{Sub: xpath.Self{}, Cond: q}) {
+		if _, ok := sub.(xpath.Rec); ok {
+			return true
+		}
+	}
+	return false
 }

@@ -3,6 +3,7 @@ package xpath
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/nodeset"
 	"repro/internal/xmltree"
@@ -16,8 +17,18 @@ import (
 // OR, deduplication is structural, descendant-or-self is a bit-range
 // fill over the subtree interval, and the Rec automaton's visited set
 // becomes one bitset row per view state. All intermediate sets come
-// from a sync.Pool, so a steady-state evaluation allocates only its
-// final result slice.
+// from a sync.Pool.
+//
+// Steps are set-at-a-time; qualifiers are node-local. A p[q] step
+// evaluates p as a set, then decides q at each candidate with an
+// early-exit depth-first walk from that one node (exists), which
+// touches only the nodes it needs instead of scanning document-sized
+// sets per candidate, and compares string values with TextEquals. A
+// Rec step inside a qualifier falls back to set-at-a-time evaluation
+// at that node, because its product search needs visited rows. The
+// sets, the bitEval and its walk stack all come back from pools, so a
+// steady-state evaluation without Rec allocates only its final result
+// slice, however many candidates it checks.
 //
 // The gate (ordinalDoc) requires every context node to carry fresh
 // numbering from one compacted document. Hand-built NewDocument trees,
@@ -57,7 +68,7 @@ func OrdinalApplicable(doc *xmltree.Document) bool {
 // caller's seqEval so ticks and cancellation behave exactly as on the
 // slice path. idx is nil for the walk evaluator.
 func evalOrdinal(se *seqEval, idx *Index, d *xmltree.Document, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	b := &bitEval{se: se, idx: idx, doc: d}
+	b := newBitEval(se, idx, d)
 	defer b.release()
 	ctx := b.get()
 	for _, n := range nodes {
@@ -75,12 +86,26 @@ func evalOrdinal(se *seqEval, idx *Index, d *xmltree.Document, p Path, nodes []*
 // no matter how evaluation unwound; recycle moves a set to the free
 // list for reuse within this evaluation without touching ownership.
 // A bitEval is single-goroutine, like the seqEval it wraps.
+//
+// bitEvals themselves are pooled, so the owned and free lists and the
+// walk stack keep their capacity from one evaluation to the next
+// instead of regrowing per request.
 type bitEval struct {
 	se    *seqEval
 	idx   *Index
 	doc   *xmltree.Document
 	owned []*nodeset.Set
 	free  []*nodeset.Set
+	conts []cont // node-local qualifier walk stack; see cont
+}
+
+var bitEvals = sync.Pool{New: func() any { return new(bitEval) }}
+
+// newBitEval takes a bitEval from the pool; release returns it.
+func newBitEval(se *seqEval, idx *Index, d *xmltree.Document) *bitEval {
+	b := bitEvals.Get().(*bitEval)
+	b.se, b.idx, b.doc = se, idx, d
+	return b
 }
 
 // get returns a cleared set over the document's ordinal universe,
@@ -103,14 +128,19 @@ func (b *bitEval) recycle(s *nodeset.Set) {
 	b.free = append(b.free, s)
 }
 
-// release returns every owned set to the pool. After release no set
-// handed out by get may be used — evalOrdinal materializes the result
-// into a fresh slice before releasing.
+// release returns every owned set to the pool, then b itself. After
+// release neither b nor any set handed out by get may be used —
+// evalOrdinal materializes the result into a fresh slice before
+// releasing.
 func (b *bitEval) release() {
 	for _, s := range b.owned {
 		nodeset.Put(s)
 	}
-	b.owned, b.free = nil, nil
+	clear(b.owned)
+	clear(b.free)
+	clear(b.conts[:cap(b.conts)])
+	*b = bitEval{owned: b.owned[:0], free: b.free[:0], conts: b.conts[:0]}
+	bitEvals.Put(b)
 }
 
 // materialize maps a result set back to nodes through the document's
@@ -314,9 +344,13 @@ func (b *bitEval) descendViaIndex(sub Path, ctx *nodeset.Set) (*nodeset.Set, boo
 	return out, true, err
 }
 
-// qual mirrors seqEval.qual over pooled sets: qualifier paths — where
-// p[q] plans spend their time — evaluate through b.path, so even the
-// per-node existence checks of nested qualifiers allocate nothing.
+// qual mirrors seqEval.qual, but decides each qualifier path at the one
+// candidate node it is asked about: QPath and QEq run exists, a
+// depth-first walk from v that stops at the first witness, instead of
+// materializing v⟦p⟧ as a document-sized set. Only a Rec step inside the
+// path still evaluates set-at-a-time (pathAtNode), because its product
+// search needs visited rows. String values compare through TextEquals,
+// so a qualifier check allocates nothing.
 func (b *bitEval) qual(q Qual, v *xmltree.Node) (bool, error) {
 	switch q := q.(type) {
 	case QTrue:
@@ -324,29 +358,12 @@ func (b *bitEval) qual(q Qual, v *xmltree.Node) (bool, error) {
 	case QFalse:
 		return false, nil
 	case QPath:
-		res, err := b.pathAtNode(q.Path, v)
-		if err != nil {
-			return false, err
-		}
-		hold := !res.Empty()
-		b.recycle(res)
-		return hold, nil
+		return b.exists(q.Path, v, accept)
 	case QEq:
 		if q.Var != "" {
 			return false, fmt.Errorf("unbound variable $%s in qualifier", q.Var)
 		}
-		res, err := b.pathAtNode(q.Path, v)
-		if err != nil {
-			return false, err
-		}
-		byOrd := b.doc.Nodes()
-		hold := false
-		res.ForEachUntil(func(ord int) bool {
-			hold = byOrd[ord].Text() == q.Value
-			return !hold
-		})
-		b.recycle(res)
-		return hold, nil
+		return b.within(cont{value: q.Value, eq: true, next: accept}, q.Path, v)
 	case QAttrEq:
 		val, ok := v.Attr(q.Name)
 		return ok && val == q.Value, nil
@@ -373,7 +390,175 @@ func (b *bitEval) qual(q Qual, v *xmltree.Node) (bool, error) {
 	}
 }
 
-// pathAtNode evaluates a qualifier's inner path at one context node.
+// cont is what a node-local walk still owes once it reaches a node:
+// walk p from it, check cond at it, or compare its string value (eq),
+// then continue with next. Conts are indices into the evaluation's
+// b.conts stack, which is reused by every qualifier check and, with
+// the pooled bitEval, by later evaluations, so a walk allocates nothing
+// once the stack has grown to the query's nesting depth; accept is the
+// empty continuation.
+//
+// lo..hi remembers the last subtree interval from which a Descend p
+// found no witness: next is the same on every resume of this cont, so
+// no node inside that interval can succeed either, and nested //-steps
+// skip it instead of rescanning it.
+type cont struct {
+	p      Path
+	cond   Qual
+	value  string
+	eq     bool
+	next   int
+	lo, hi int
+}
+
+const accept = -1
+
+// within pushes c, walks p from v with c as the continuation, and pops
+// c again.
+func (b *bitEval) within(c cont, p Path, v *xmltree.Node) (bool, error) {
+	k := len(b.conts)
+	c.hi = -1
+	b.conts = append(b.conts, c)
+	hold, err := b.exists(p, v, k)
+	b.conts = b.conts[:k]
+	return hold, err
+}
+
+// resume continues a walk at node w, reporting whether continuation k
+// is satisfied there.
+func (b *bitEval) resume(k int, w *xmltree.Node) (bool, error) {
+	if k == accept {
+		return true, nil
+	}
+	c := &b.conts[k]
+	switch {
+	case c.eq:
+		return w.TextEquals(c.value), nil
+	case c.cond != nil:
+		next := c.next // b.qual may grow b.conts under c
+		hold, err := b.qual(c.cond, w)
+		if err != nil || !hold {
+			return false, err
+		}
+		return b.resume(next, w)
+	}
+	if _, ok := c.p.(Descend); !ok {
+		return b.exists(c.p, w, c.next)
+	}
+	ord := w.Ord()
+	if c.lo <= ord && ord <= c.hi {
+		return false, nil
+	}
+	hold, err := b.exists(c.p, w, c.next)
+	if err == nil && !hold {
+		// The walk may have grown b.conts; index afresh.
+		b.conts[k].lo, b.conts[k].hi = ord, ord+w.DescendantCount()
+	}
+	return hold, err
+}
+
+// exists reports whether some node of v⟦p⟧ satisfies k. It walks
+// depth-first in query order and returns at the first witness; it
+// recurses on the query, never on the document, and ticks once per
+// node it examines so cancellation stays as prompt as in the set-at-a-
+// time steps.
+func (b *bitEval) exists(p Path, v *xmltree.Node, k int) (bool, error) {
+	switch p := p.(type) {
+	case Empty:
+		return false, nil
+	case Self:
+		return b.resume(k, v)
+	case Label:
+		for _, c := range v.Children {
+			if err := b.se.tick(); err != nil {
+				return false, err
+			}
+			if c.Label == p.Name {
+				if hold, err := b.resume(k, c); hold || err != nil {
+					return hold, err
+				}
+			}
+		}
+		return false, nil
+	case Wildcard:
+		for _, c := range v.Children {
+			if err := b.se.tick(); err != nil {
+				return false, err
+			}
+			if c.Kind == xmltree.ElementNode {
+				if hold, err := b.resume(k, c); hold || err != nil {
+					return hold, err
+				}
+			}
+		}
+		return false, nil
+	case Seq:
+		return b.within(cont{p: p.Right, next: k}, p.Left, v)
+	case Union:
+		hold, err := b.exists(p.Left, v, k)
+		if hold || err != nil {
+			return hold, err
+		}
+		return b.exists(p.Right, v, k)
+	case Qualified:
+		return b.within(cont{cond: p.Cond, next: k}, p.Sub, v)
+	case Descend:
+		return b.descendExists(p.Sub, v, k)
+	case Rec:
+		res, err := b.pathAtNode(p, v)
+		if err != nil {
+			return false, err
+		}
+		byOrd := b.doc.Nodes()
+		hold := false
+		res.ForEachUntil(func(ord int) bool {
+			hold, err = b.resume(k, byOrd[ord])
+			return !hold && err == nil
+		})
+		b.recycle(res)
+		return hold, err
+	default:
+		return false, fmt.Errorf("evalPath: unknown path node %T", p)
+	}
+}
+
+// descendExists is exists for //sub: it iterates v's subtree interval
+// [ord, ord+DescendantCount] in the node table. A label or wildcard sub
+// selects exactly the strict descendants it matches, so those scan the
+// interval once in document order; any other sub is walked from every
+// node of the interval.
+func (b *bitEval) descendExists(sub Path, v *xmltree.Node, k int) (bool, error) {
+	lo := v.Ord()
+	nodes := b.doc.Nodes()[lo : lo+v.DescendantCount()+1]
+	for _, w := range nodes {
+		if err := b.se.tick(); err != nil {
+			return false, err
+		}
+		var hold bool
+		var err error
+		switch sub := sub.(type) {
+		case Label:
+			if w == v || w.Label != sub.Name {
+				continue
+			}
+			hold, err = b.resume(k, w)
+		case Wildcard:
+			if w == v || w.Kind != xmltree.ElementNode {
+				continue
+			}
+			hold, err = b.resume(k, w)
+		default:
+			hold, err = b.exists(sub, w, k)
+		}
+		if hold || err != nil {
+			return hold, err
+		}
+	}
+	return false, nil
+}
+
+// pathAtNode evaluates a path set-at-a-time at one context node: the
+// fallback for a Rec step inside a qualifier.
 func (b *bitEval) pathAtNode(p Path, v *xmltree.Node) (*nodeset.Set, error) {
 	ctx := b.get()
 	ctx.Add(v.Ord())

@@ -218,3 +218,47 @@ func TestEvalIndexedCtxCountedTicks(t *testing.T) {
 		t.Fatalf("ticks = 0, want nonzero nodes-visited proxy")
 	}
 }
+
+// TestQualifierWalkDeadlinePromptOnDeepChain: on a compacted deep chain
+// the bitset evaluator decides qualifiers with the node-local walk. The
+// walk iterates subtree intervals instead of recursing on document
+// depth, so a qualifier at the root of a 20,000-deep spine finds the
+// deepest leaf; and because it ticks per node it examines, a
+// qualifier-heavy query with nested // qualifiers, far too slow to
+// finish, still stops within the promptness bound of a 1ms deadline.
+func TestQualifierWalkDeadlinePromptOnDeepChain(t *testing.T) {
+	doc := chainDoc(20000)
+	doc.Compact()
+	if !xpath.OrdinalApplicable(doc) || doc.Height() < 20000 {
+		t.Fatalf("want a compacted chain of height ≥ 20000, got height %d", doc.Height())
+	}
+	for q, want := range map[string]int{
+		`.[.//leaf = "v19999"]`:     1,
+		`.[not(.//s/leaf = "v-1")]`: 1,
+		`.[.//s[leaf = "v-1"]]`:     0,
+	} {
+		got, err := xpath.EvalDocCtx(context.Background(), xpath.MustParse(q), doc)
+		if err != nil || len(got) != want {
+			t.Fatalf("%s: got %d nodes, err %v; want %d", q, len(got), err, want)
+		}
+	}
+
+	p := xpath.MustParse(`//s[.//s[.//leaf = "absent" or not(leaf)]]/leaf`)
+	// Sanity: the query cannot finish in 50ms (otherwise the promptness
+	// assertion below proves nothing).
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, err := xpath.EvalDocCtx(ctx, p, doc)
+	cancel()
+	if err == nil {
+		t.Skip("qualifier-heavy query finished within 50ms; too fast to test cancellation")
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = xpath.EvalDocCtx(ctx, p, doc)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	assertPrompt(t, elapsed)
+}

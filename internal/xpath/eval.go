@@ -399,7 +399,7 @@ func (e *seqEval) qual(q Qual, v *xmltree.Node) (bool, error) {
 			return false, err
 		}
 		for _, n := range res {
-			if n.Text() == q.Value {
+			if n.TextEquals(q.Value) {
 				return true, nil
 			}
 		}

@@ -344,7 +344,7 @@ func (e indexedEvaluator) evalQual(q Qual, v *xmltree.Node) (bool, error) {
 			return false, err
 		}
 		for _, n := range res {
-			if n.Text() == q.Value {
+			if n.TextEquals(q.Value) {
 				return true, nil
 			}
 		}

@@ -375,13 +375,12 @@ func (e *pEval) filterChunked(q Qual, mid []*xmltree.Node) ([]*xmltree.Node, err
 	filter := func(nodes []*xmltree.Node) ([]*xmltree.Node, error) {
 		// One seqEval per chunk: the tick counter must stay
 		// goroutine-local. On compacted documents the per-node condition
-		// checks run through a chunk-local bitEval, so the qualifier's
-		// inner paths evaluate over pooled sets instead of allocating
-		// slices per candidate.
+		// checks run through a chunk-local bitEval, so they take the
+		// node-local walk instead of allocating slices per candidate.
 		se := newSeqEval(e.ctx)
 		qual := se.qual
 		if d := ordinalDoc(nodes); d != nil {
-			b := &bitEval{se: se, doc: d}
+			b := newBitEval(se, nil, d)
 			defer b.release()
 			qual = b.qual
 		}
