@@ -566,59 +566,6 @@ func BenchmarkPlanCacheRecursive(b *testing.B) {
 	})
 }
 
-// ---------- parallel evaluation: sequential vs worker pool ----------
-
-// BenchmarkParallelEval compares the sequential evaluator with the
-// worker-pool evaluator on union-heavy and descendant-heavy queries
-// over documents of increasing size.
-func BenchmarkParallelEval(b *testing.B) {
-	spec := dtds.AdexSpec()
-	view, err := secview.Derive(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rw, err := rewrite.ForView(view)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := optimize.New(dtds.Adex())
-	queries := map[string]string{
-		"Q1": dtds.AdexQueries["Q1"],
-		"Q4": dtds.AdexQueries["Q4"],
-	}
-	for _, size := range []struct {
-		name      string
-		maxRepeat int
-	}{{"small", 400}, {"large", 3200}} {
-		doc := dtds.GenerateAdex(5, size.maxRepeat)
-		for qname, q := range queries {
-			pt, err := rw.Rewrite(xpath.MustParse(q))
-			if err != nil {
-				b.Fatal(err)
-			}
-			po := opt.Optimize(pt)
-			b.Run(fmt.Sprintf("%s/%s/sequential", qname, size.name), func(b *testing.B) {
-				b.ReportMetric(float64(doc.Size()), "docnodes")
-				for i := 0; i < b.N; i++ {
-					if _, err := xpath.EvalDocErr(po, doc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			for _, workers := range []int{2, 4} {
-				b.Run(fmt.Sprintf("%s/%s/parallel-%d", qname, size.name, workers), func(b *testing.B) {
-					cfg := xpath.ParallelConfig{Workers: workers}
-					for i := 0; i < b.N; i++ {
-						if _, err := xpath.EvalDocParallel(po, doc, cfg, nil); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // ---------- generator throughput ----------
 
 func BenchmarkGenerate(b *testing.B) {
@@ -707,12 +654,12 @@ func BenchmarkQualifiedScan(b *testing.B) {
 	}
 }
 
-// ---------- deep-descendant workload: walk vs index vs parallel ----------
+// ---------- deep-descendant workload: walk vs index ----------
 
 // BenchmarkDeepDescendant is the ROADMAP's structural-index target
 // workload: //dept//treatment//bill-class queries over a 10k+ node
-// hospital document, comparing the tree-walk evaluator, the
-// structural-index evaluator, and the worker-pool evaluator. The
+// hospital document, comparing bitset evaluation without and with the
+// label index's posting lists. The
 // index-build case prices what the serving layer amortizes via its
 // per-document index cache.
 func BenchmarkDeepDescendant(b *testing.B) {
@@ -742,14 +689,6 @@ func BenchmarkDeepDescendant(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if out := xpath.EvalIndexed(p, idx); len(out) != want {
 					b.Fatalf("indexed: %d nodes, want %d", len(out), want)
-				}
-			}
-		})
-		b.Run(tc.name+"/parallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := xpath.EvalDocParallel(p, doc, xpath.ParallelConfig{}, nil)
-				if err != nil || len(out) != want {
-					b.Fatalf("parallel: %d nodes, err %v", len(out), err)
 				}
 			}
 		})

@@ -14,9 +14,9 @@
 // -explain prints a JSON explain document instead of the result XML
 // (the intermediate queries plus fresh per-phase timings and the eval
 // mode — the CLI twin of the server's /explainz); -no-optimize skips
-// the optimization pass; -indexed evaluates with the label-index
-// evaluator; -parallel evaluates with the worker-pool evaluator
-// (-workers bounds it); the two are mutually exclusive. -stats prints
+// the optimization pass and evaluates outside the engine; -indexed
+// gives the engine a label index and answers descendant queries from
+// its posting lists whatever the document size. -stats prints
 // the engine's plan-cache and evaluation counters to stderr, plus the
 // query's fingerprint (the hash the server's /queryz rows and event-log
 // records key on); -anscache
@@ -56,9 +56,7 @@ func main() {
 		showOpt    = flag.Bool("show-optimize", false, "print the optimized document query")
 		explain    = flag.Bool("explain", false, "print a JSON explain (per-phase timings, intermediate queries, eval mode) instead of the result")
 		noOptimize = flag.Bool("no-optimize", false, "skip the DTD-based optimization pass")
-		indexed    = flag.Bool("indexed", false, "evaluate with the label-index evaluator")
-		parallel   = flag.Bool("parallel", false, "evaluate with the parallel worker-pool evaluator")
-		workers    = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
+		indexed    = flag.Bool("indexed", false, "answer descendant queries from a label index")
 		anscache   = flag.Bool("anscache", false, "answer repeated or provably-contained queries from a bounded answer cache (pair with -repeat)")
 		stats      = flag.Bool("stats", false, "print plan-cache and evaluation counters to stderr")
 		repeat     = flag.Int("repeat", 1, "run the query this many times (repeats hit the plan and answer caches)")
@@ -71,16 +69,12 @@ func main() {
 	if *query == "" || *docPath == "" {
 		fatal(fmt.Errorf("need -q and -doc"))
 	}
-	if *indexed && *parallel {
-		fatal(fmt.Errorf("-indexed and -parallel are mutually exclusive; pick one evaluator"))
-	}
 	if *repeat < 1 {
 		*repeat = 1
 	}
-	cfg := core.Config{
-		Parallel:       *parallel,
-		ParallelConfig: xpath.ParallelConfig{Workers: *workers},
-		AnswerCache:    *anscache,
+	cfg := core.Config{AnswerCache: *anscache}
+	if *indexed {
+		cfg.Indexed, cfg.IndexThreshold = true, -1
 	}
 	engine, err := buildEngine(*viewPath, *builtin, *dtdPath, *specPath, params, cfg)
 	if err != nil {
@@ -123,7 +117,7 @@ func main() {
 		printStats(engine, *stats, nil)
 		return
 	}
-	if *showRw || *showOpt || *noOptimize || *indexed {
+	if *showRw || *showOpt || *noOptimize {
 		pt, err := engine.Rewrite(p, doc.Height())
 		if err != nil {
 			fatal(err)
@@ -131,43 +125,12 @@ func main() {
 		if *showRw {
 			fmt.Fprintf(os.Stderr, "rewritten: %s\n", xpath.String(pt))
 		}
-		final := pt
-		if !*noOptimize {
-			final = engine.Optimize(pt)
-			if *showOpt {
-				fmt.Fprintf(os.Stderr, "optimized: %s\n", xpath.String(final))
-			}
-		}
-		if *noOptimize || *indexed {
-			ctx := context.Background()
-			if *timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, *timeout)
-				defer cancel()
-			}
-			var result []*xmltree.Node
-			var evalStats xpath.ParallelStats
-			switch {
-			case *indexed:
-				if result, err = xpath.EvalIndexedCtx(ctx, final, xpath.NewIndex(doc)); err != nil {
-					fatal(err)
-				}
-			case *parallel:
-				if result, err = xpath.EvalDocParallelCtx(ctx, final, doc, cfg.ParallelConfig, &evalStats); err != nil {
-					fatal(err)
-				}
-			default:
-				if result, err = xpath.EvalDocCtx(ctx, final, doc); err != nil {
-					fatal(err)
-				}
-			}
-			printResult(result)
-			if *stats {
-				seq, par, forks, parts := evalStats.Snapshot()
-				fmt.Fprintf(os.Stderr, "evaluation:   %d sequential, %d parallel (%d union forks, %d partitions)\n",
-					seq, par, forks, parts)
-			}
+		if *noOptimize {
+			evalUnoptimized(pt, doc, *indexed, *timeout, *stats)
 			return
+		}
+		if *showOpt {
+			fmt.Fprintf(os.Stderr, "optimized: %s\n", xpath.String(engine.Optimize(pt)))
 		}
 	}
 	var result []*xmltree.Node
@@ -179,6 +142,34 @@ func main() {
 	}
 	printResult(result)
 	printStats(engine, *stats, qm)
+}
+
+// evalUnoptimized evaluates the rewritten query as is, outside the
+// engine and its caches: -no-optimize asks for a plan the engine never
+// builds.
+func evalUnoptimized(pt xpath.Path, doc *xmltree.Document, indexed bool, timeout time.Duration, stats bool) {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	var result []*xmltree.Node
+	var err error
+	mode := obs.ModeSequential
+	if indexed {
+		mode = obs.ModeIndexed
+		result, err = xpath.EvalIndexedCtx(ctx, pt, xpath.NewIndex(doc))
+	} else {
+		result, err = xpath.EvalDocCtx(ctx, pt, doc)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	printResult(result)
+	if stats {
+		fmt.Fprintf(os.Stderr, "evaluation:   1 %s, unoptimized, outside the engine\n", mode)
+	}
 }
 
 // queryOnce runs one evaluation under the optional deadline, filling qm
@@ -221,8 +212,7 @@ func printStats(engine *core.Engine, show bool, qm *obs.QueryMetrics) {
 		s.PlanCache.Hits, s.PlanCache.Misses, s.PlanCache.Evictions, s.PlanCache.Entries, s.PlanCache.Capacity)
 	fmt.Fprintf(os.Stderr, "height cache: %d hits, %d misses, %d evictions, %d/%d entries\n",
 		s.HeightCache.Hits, s.HeightCache.Misses, s.HeightCache.Evictions, s.HeightCache.Entries, s.HeightCache.Capacity)
-	fmt.Fprintf(os.Stderr, "evaluation:   %d sequential, %d parallel, %d indexed (%d union forks, %d partitions)\n",
-		s.SequentialEvals, s.ParallelEvals, s.IndexedEvals, s.UnionForks, s.Partitions)
+	fmt.Fprintf(os.Stderr, "evaluation:   %d sequential, %d indexed\n", s.SequentialEvals, s.IndexedEvals)
 	if s.AnswerCache.Capacity > 0 {
 		fmt.Fprintf(os.Stderr, "answer cache: %d hits, %d containment hits, %d misses, %d evictions, %d/%d entries\n",
 			s.AnswerCache.Hits, s.AnswerCache.ContainmentHits, s.AnswerCache.Misses,

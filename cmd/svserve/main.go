@@ -25,12 +25,10 @@
 //	GET /debug/pprof/* — the runtime profiler
 //
 // Flags -timeout and -max-timeout bound each request's evaluation
-// deadline; -max-inflight caps concurrent evaluations; -parallel,
-// -workers, and -threshold tune the worker-pool evaluator handed to
-// every derived engine; -indexed (on by default) lets engines answer
-// descendant queries over large documents from a cached per-document
-// label index, with -index-threshold setting the minimum document
-// size; -anscache lets engines answer repeated or provably-contained
+// deadline; -max-inflight caps concurrent evaluations; -indexed (on by
+// default) lets engines answer descendant queries over large documents
+// from a cached per-document label index, with -index-threshold setting
+// the minimum document size; -anscache lets engines answer repeated or provably-contained
 // queries from a bounded semantic answer cache (-anscache-cap bounds
 // it); -trace-sample/-trace-ring tune request-trace sampling and
 // -slow-query the slow-query log threshold. -qstats-cap bounds the
@@ -59,7 +57,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
 )
 
 // builtinClassNames gives each built-in scenario's single policy a
@@ -79,9 +76,6 @@ func main() {
 		timeout     = flag.Duration("timeout", serve.DefaultTimeout, "default per-request evaluation deadline")
 		maxTimeout  = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "hard cap on per-request deadlines")
 		maxInFlight = flag.Int("max-inflight", serve.DefaultMaxInFlight, "maximum concurrently evaluating queries (excess gets 429)")
-		parallel    = flag.Bool("parallel", false, "evaluate with the parallel worker-pool evaluator")
-		workers     = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-		threshold   = flag.Int("threshold", 0, "parallel-evaluation size threshold (0 = default)")
 		indexed     = flag.Bool("indexed", true, "serve descendant queries over large documents from a cached label index")
 		indexMin    = flag.Int("index-threshold", 0, "minimum document size (nodes) for indexed evaluation (0 = default)")
 		anscache    = flag.Bool("anscache", false, "answer repeated or provably-contained queries from a bounded per-engine answer cache")
@@ -105,8 +99,6 @@ func main() {
 		fatal(fmt.Errorf("need -doc"))
 	}
 	engineCfg := core.Config{
-		Parallel:            *parallel,
-		ParallelConfig:      xpath.ParallelConfig{Workers: *workers, Threshold: *threshold},
 		Indexed:             *indexed,
 		IndexThreshold:      *indexMin,
 		AnswerCache:         *anscache,

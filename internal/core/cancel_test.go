@@ -97,16 +97,17 @@ func TestQueryCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestQueryCtxDeadlineParallel repeats the deadline check on an engine
-// configured for parallel evaluation: the worker pool must drain and
-// surface the context error just as promptly.
-func TestQueryCtxDeadlineParallel(t *testing.T) {
+// TestQueryCtxDeadlineIndexed repeats the deadline check on an engine
+// configured for indexed evaluation, the serving configuration: the
+// bitset path with posting lists must surface the context error just as
+// promptly.
+func TestQueryCtxDeadlineIndexed(t *testing.T) {
 	doc := bigHospital()
 	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	e, err := NewWithConfig(spec, Config{Parallel: true})
+	e, err := NewWithConfig(spec, Config{Indexed: true})
 	if err != nil {
 		t.Fatalf("NewWithConfig: %v", err)
 	}
@@ -120,10 +121,13 @@ func TestQueryCtxDeadlineParallel(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed >= 100*time.Millisecond {
-		t.Errorf("cancelled parallel query took %v, want well under 100ms", elapsed)
+		t.Errorf("cancelled indexed query took %v, want well under 100ms", elapsed)
 	}
 	if got, err := e.QueryString(doc, heavyQuery); err != nil || len(got) == 0 {
-		t.Errorf("retry after parallel cancellation: %d nodes, err %v", len(got), err)
+		t.Errorf("retry after indexed cancellation: %d nodes, err %v", len(got), err)
+	}
+	if s := e.Stats(); s.IndexedEvals != 2 || s.Cancelled != 1 {
+		t.Errorf("indexed evals = %d, cancelled = %d; want 2 and 1", s.IndexedEvals, s.Cancelled)
 	}
 }
 

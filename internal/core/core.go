@@ -14,8 +14,8 @@
 // Section 4.2 unfolding path available behind Config.UnfoldRewrite as a
 // differential oracle, whose per-height rewriters live in a second
 // bounded cache so adversarial height profiles cannot grow memory
-// without limit; and evaluation can fan out over a worker pool for large
-// documents (Config.Parallel).
+// without limit; and descendant queries over large compacted documents
+// are answered from a cached per-document label index (Config.Indexed).
 package core
 
 import (
@@ -75,18 +75,12 @@ type Config struct {
 	// HeightCacheCapacity bounds the per-height rewriter cache used by
 	// recursive views. 0 means DefaultHeightCacheCapacity.
 	HeightCacheCapacity int
-	// Parallel turns on parallel evaluation for Query/QueryString:
-	// union branches fan out and large descendant context sets are
-	// partitioned over a worker pool (see xpath.EvalDocParallel).
-	Parallel bool
-	// ParallelConfig tunes the worker pool when Parallel is set.
-	ParallelConfig xpath.ParallelConfig
 	// Indexed turns on indexed evaluation: the engine builds and caches
 	// a per-document label index (xpath.Index) and answers queries with
-	// descendant steps over documents of at least IndexThreshold nodes
-	// from posting lists instead of subtree walks. Per query the engine
-	// picks indexed, parallel, or sequential: indexed when applicable,
-	// else parallel when Parallel is set, else the sequential walk.
+	// descendant steps over compacted documents of at least
+	// IndexThreshold nodes from posting lists instead of subtree walks.
+	// Per query the engine picks indexed when applicable (see
+	// indexApplicable), else sequential evaluation.
 	Indexed bool
 	// IndexThreshold is the minimum document size (nodes) for indexed
 	// evaluation. 0 means DefaultIndexThreshold; negative forces the
@@ -193,11 +187,11 @@ type Engine struct {
 	// construction afterward.
 	epoch atomic.Uint64
 
-	queries      atomic.Uint64
-	cancelled    atomic.Uint64
-	evalStats    xpath.ParallelStats
-	indexedEvals atomic.Uint64
-	ordinalEvals atomic.Uint64
+	queries         atomic.Uint64
+	cancelled       atomic.Uint64
+	sequentialEvals atomic.Uint64
+	indexedEvals    atomic.Uint64
+	ordinalEvals    atomic.Uint64
 }
 
 // New derives the security view for a bound access specification (no
@@ -469,18 +463,19 @@ func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Pa
 
 // indexApplicable reports whether the engine should answer this
 // (plan, document) pair with the index-backed evaluator: indexed mode
-// is on, the document is big enough to repay the index, and the query
-// is descend-class — a descendant step in the evaluated plan, or in
-// the source view query. Fig. 6 rewriting unfolds view-level // steps
-// into unions of label chains, so most serving plans carry no Descend
-// of their own; routing descend-sourced plans through the indexed
-// evaluator keeps one consistent mode for the class (visible in
-// /explainz and /metricsz) and serves any residual // from posting
-// lists with the per-step selectivity heuristic. Child-axis-only view
-// queries touch the same nodes either way, so the walk serves them
-// without index overhead.
+// is on, the document is compacted (posting lists are used only on the
+// bitset path, so an uncompacted document reports sequential) and big
+// enough to repay the index, and the query is descend-class — a
+// descendant step in the evaluated plan, or in the source view query.
+// Fig. 6 rewriting unfolds view-level // steps into unions of label
+// chains, so most serving plans carry no Descend of their own; routing
+// descend-sourced plans through the indexed evaluator keeps one
+// consistent mode for the class (visible in /explainz and /metricsz)
+// and serves any residual // from posting lists with the per-step
+// selectivity heuristic. Child-axis-only view queries touch the same
+// nodes either way, so the walk serves them without index overhead.
 func (e *Engine) indexApplicable(prep *Prepared, doc *xmltree.Document) bool {
-	if !e.cfg.Indexed || doc.Size() < e.cfg.indexThreshold() {
+	if !e.cfg.Indexed || doc.Size() < e.cfg.indexThreshold() || !xpath.OrdinalApplicable(doc) {
 		return false
 	}
 	return xpath.HasDescend(prep.Optimized) || xpath.HasDescend(prep.Source)
@@ -511,74 +506,41 @@ func (e *Engine) indexFor(doc *xmltree.Document) *xpath.Index {
 }
 
 // evalPrepared runs the evaluation phase, picking the eval mode per
-// query: indexed when applicable (see indexApplicable), else parallel
-// when configured, else the sequential walk. When the context carries a
-// QueryMetrics carrier or a trace span it additionally reports the eval
-// mode actually taken, the work counters (cooperation ticks, or this
-// call's union forks and partitions), and the phase duration; a bare
-// context takes the uninstrumented fast path unchanged.
+// query: indexed when applicable (see indexApplicable), else
+// sequential. Both run the counted evaluator; when the context carries
+// a QueryMetrics carrier or a trace span, evalPrepared also reports the
+// eval mode taken, the nodes-visited count, and the phase duration, and
+// reads the clock only then.
 func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.Document) ([]*xmltree.Node, error) {
 	qm := obs.QueryMetricsFromContext(ctx)
 	_, sp := obs.StartSpan(ctx, "eval")
-	indexed := e.indexApplicable(prep, doc)
+	var start time.Time
+	if qm != nil || sp != nil {
+		start = time.Now()
+	}
 	if xpath.OrdinalApplicable(doc) {
 		e.ordinalEvals.Add(1)
 	}
-	if qm == nil && sp == nil {
-		if indexed {
-			e.indexedEvals.Add(1)
-			return xpath.EvalIndexedCtx(ctx, prep.Optimized, e.indexFor(doc))
-		}
-		if e.cfg.Parallel {
-			return xpath.EvalDocParallelCtx(ctx, prep.Optimized, doc, e.cfg.ParallelConfig, &e.evalStats)
-		}
-		e.evalStats.SequentialEvals.Add(1)
-		return xpath.EvalDocCtx(ctx, prep.Optimized, doc)
-	}
-	start := time.Now()
 	var out []*xmltree.Node
+	var ticks uint64
 	var err error
 	mode := obs.ModeSequential
-	switch {
-	case indexed:
+	if e.indexApplicable(prep, doc) {
 		e.indexedEvals.Add(1)
 		mode = obs.ModeIndexed
-		var ticks uint64
 		out, ticks, err = xpath.EvalIndexedCtxCounted(ctx, prep.Optimized, e.indexFor(doc))
-		if qm != nil {
-			qm.NodesVisited = ticks
-		}
-		sp.SetAttr("nodes_visited", ticks)
-	case e.cfg.Parallel:
-		// A per-call local stats value reports this request's fan-out
-		// alone, then rolls up into the engine-wide aggregate.
-		var local xpath.ParallelStats
-		out, err = xpath.EvalDocParallelCtx(ctx, prep.Optimized, doc, e.cfg.ParallelConfig, &local)
-		e.evalStats.AddFrom(&local)
-		_, par, forks, parts := local.Snapshot()
-		if par > 0 {
-			mode = obs.ModeParallel
-		}
-		if qm != nil {
-			qm.UnionForks, qm.Partitions = forks, parts
-		}
-		sp.SetAttr("union_forks", forks)
-		sp.SetAttr("partitions", parts)
-	default:
-		e.evalStats.SequentialEvals.Add(1)
-		var ticks uint64
+	} else {
+		e.sequentialEvals.Add(1)
 		out, ticks, err = xpath.EvalDocCtxCounted(ctx, prep.Optimized, doc)
-		if qm != nil {
-			qm.NodesVisited = ticks
-		}
-		sp.SetAttr("nodes_visited", ticks)
 	}
 	if qm != nil {
 		qm.Eval = time.Since(start)
 		qm.EvalMode = mode
 		qm.SetRepr = setRepr(doc)
+		qm.NodesVisited = ticks
 	}
 	if sp != nil {
+		sp.SetAttr("nodes_visited", ticks)
 		sp.SetAttr("mode", mode)
 		sp.SetAttr("set_repr", setRepr(doc))
 		sp.SetAttr("result_count", len(out))
@@ -630,14 +592,11 @@ type Explain struct {
 	// RewrittenSize and OptimizedSize are AST sizes (xpath.Size).
 	RewrittenSize int `json:"rewritten_size"`
 	OptimizedSize int `json:"optimized_size"`
-	// EvalMode is what the evaluator actually did (obs.ModeSequential,
-	// obs.ModeParallel, or obs.ModeIndexed); NodesVisited / UnionForks
-	// / Partitions are its work counters for this run (see
-	// obs.QueryMetrics).
+	// EvalMode is what the evaluator actually did (obs.ModeSequential
+	// or obs.ModeIndexed); NodesVisited is its work counter for this run
+	// (see obs.QueryMetrics).
 	EvalMode     string `json:"eval_mode"`
 	NodesVisited uint64 `json:"nodes_visited,omitempty"`
-	UnionForks   uint64 `json:"union_forks,omitempty"`
-	Partitions   uint64 `json:"partitions,omitempty"`
 	ResultCount  int    `json:"result_count"`
 	// DocHeight is the document's height; UnfoldHeight is the height a
 	// recursive view was unfolded to for this document (0 outside
@@ -720,8 +679,6 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	}
 	ex.EvalMode = qm.EvalMode
 	ex.NodesVisited = qm.NodesVisited
-	ex.UnionForks = qm.UnionForks
-	ex.Partitions = qm.Partitions
 	ex.ResultCount = len(out)
 	return ex, nil
 }
@@ -770,14 +727,9 @@ type Stats struct {
 	AnswerCache anscache.Stats `json:"answer_cache"`
 	// Epoch is the engine's document/policy epoch (see BumpEpoch).
 	Epoch uint64 `json:"epoch"`
-	// SequentialEvals, ParallelEvals, and IndexedEvals count
-	// evaluations by path; UnionForks and Partitions count the parallel
-	// evaluator's fan-outs (see xpath.ParallelStats).
+	// SequentialEvals and IndexedEvals count evaluations by mode.
 	SequentialEvals uint64 `json:"sequential_evals"`
-	ParallelEvals   uint64 `json:"parallel_evals"`
 	IndexedEvals    uint64 `json:"indexed_evals"`
-	UnionForks      uint64 `json:"union_forks"`
-	Partitions      uint64 `json:"partitions"`
 	// OrdinalEvals counts evaluations that passed the compaction gate
 	// and ran over ordinal bitsets (any mode; see internal/nodeset).
 	OrdinalEvals uint64 `json:"ordinal_evals"`
@@ -790,7 +742,6 @@ type Stats struct {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
-	seq, par, forks, parts := e.evalStats.Snapshot()
 	rules, pruned := e.opt.Stats()
 	queries, classes, nodes := e.planCacheBreakdown()
 	var ans anscache.Stats
@@ -808,11 +759,8 @@ func (e *Engine) Stats() Stats {
 		PlanCacheNodes:         nodes,
 		HeightCache:            e.byHeight.Stats(),
 		IndexCache:             e.indexes.Stats(),
-		SequentialEvals:        seq,
-		ParallelEvals:          par,
+		SequentialEvals:        e.sequentialEvals.Load(),
 		IndexedEvals:           e.indexedEvals.Load(),
-		UnionForks:             forks,
-		Partitions:             parts,
 		OrdinalEvals:           e.ordinalEvals.Load(),
 		OptimizeRules:          rules,
 		OptimizePruned:         pruned,
@@ -885,49 +833,16 @@ func (e *Engine) PrepareString(query string) (*Prepared, error) {
 	return e.Prepare(p)
 }
 
-// Eval runs a prepared query over a document with the tree evaluator.
-// It panics on unbound $variables; use EvalErr for untrusted queries.
+// Eval runs a prepared query over a document. It panics on unbound
+// $variables; untrusted queries go through Engine.Query.
 func (q *Prepared) Eval(doc *xmltree.Document) []*xmltree.Node {
 	return xpath.EvalDoc(q.Optimized, doc)
 }
 
-// EvalErr is Eval returning an error instead of panicking.
-func (q *Prepared) EvalErr(doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return xpath.EvalDocErr(q.Optimized, doc)
-}
-
-// EvalCtx is EvalErr honoring a context deadline or cancellation.
-func (q *Prepared) EvalCtx(ctx context.Context, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return xpath.EvalDocCtx(ctx, q.Optimized, doc)
-}
-
-// EvalParallel runs a prepared query with the parallel evaluator.
-func (q *Prepared) EvalParallel(doc *xmltree.Document, cfg xpath.ParallelConfig, stats *xpath.ParallelStats) ([]*xmltree.Node, error) {
-	return xpath.EvalDocParallel(q.Optimized, doc, cfg, stats)
-}
-
-// EvalParallelCtx is EvalParallel honoring a context deadline or
-// cancellation.
-func (q *Prepared) EvalParallelCtx(ctx context.Context, doc *xmltree.Document, cfg xpath.ParallelConfig, stats *xpath.ParallelStats) ([]*xmltree.Node, error) {
-	return xpath.EvalDocParallelCtx(ctx, q.Optimized, doc, cfg, stats)
-}
-
 // EvalIndexed runs a prepared query against a prebuilt label index. It
-// panics on unbound $variables; see EvalIndexedCtx.
+// panics on unbound $variables, like Eval.
 func (q *Prepared) EvalIndexed(idx *xpath.Index) []*xmltree.Node {
 	return xpath.EvalIndexed(q.Optimized, idx)
-}
-
-// EvalIndexedErr is EvalIndexed returning an error instead of
-// panicking.
-func (q *Prepared) EvalIndexedErr(idx *xpath.Index) ([]*xmltree.Node, error) {
-	return xpath.EvalIndexedErr(q.Optimized, idx)
-}
-
-// EvalIndexedCtx is EvalIndexedErr honoring a context deadline or
-// cancellation.
-func (q *Prepared) EvalIndexedCtx(ctx context.Context, idx *xpath.Index) ([]*xmltree.Node, error) {
-	return xpath.EvalIndexedCtx(ctx, q.Optimized, idx)
 }
 
 // Materialize builds the view instance T_v of a document — the view's

@@ -176,47 +176,6 @@ func TestQueryUnboundVarReturnsError(t *testing.T) {
 	}
 }
 
-// TestParallelEngineMatchesSequential: a Parallel engine returns the
-// same answers as the default one.
-func TestParallelEngineMatchesSequential(t *testing.T) {
-	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	seqE, err := New(spec)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	parE, err := NewWithConfig(spec, Config{
-		Parallel:       true,
-		ParallelConfig: xpath.ParallelConfig{Workers: 4, Threshold: -1},
-	})
-	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
-	}
-	doc := dtds.GenerateHospital(17, 6)
-	for _, q := range []string{"//patient/name", "//bill", "dept/staffInfo/staff/*", "//patient[wardNo]/name"} {
-		want, err := seqE.QueryString(doc, q)
-		if err != nil {
-			t.Fatalf("sequential %q: %v", q, err)
-		}
-		got, err := parE.QueryString(doc, q)
-		if err != nil {
-			t.Fatalf("parallel %q: %v", q, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: parallel %d nodes, sequential %d", q, len(got), len(want))
-		}
-	}
-	s := parE.Stats()
-	if s.ParallelEvals == 0 {
-		t.Errorf("parallel engine recorded no parallel evals: %+v", s)
-	}
-	if s := seqE.Stats(); s.SequentialEvals == 0 {
-		t.Errorf("sequential engine recorded no sequential evals")
-	}
-}
-
 // TestConcurrentQueriesFlatAndRecursive: satellite coverage — parallel
 // Query/Prepare from many goroutines under -race, on both view shapes.
 func TestConcurrentQueriesFlatAndRecursive(t *testing.T) {
@@ -378,5 +337,77 @@ func TestExplainReportsIndexedMode(t *testing.T) {
 	}
 	if doc.Size() < DefaultIndexThreshold && ex2.EvalMode != obs.ModeSequential {
 		t.Errorf("below-threshold EvalMode = %q, want %q", ex2.EvalMode, obs.ModeSequential)
+	}
+}
+
+// TestEvalPreparedBareMatchesInstrumented: evalPrepared has one path for
+// bare contexts and contexts carrying QueryMetrics, so the two must
+// return the same answer and move the same eval counters. The
+// uncompacted large document fails the compaction gate and reports
+// sequential even on an Indexed engine.
+func TestEvalPreparedBareMatchesInstrumented(t *testing.T) {
+	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	e, err := NewWithConfig(spec, Config{Indexed: true})
+	if err != nil {
+		t.Fatalf("NewWithConfig: %v", err)
+	}
+	small, large := dtds.GenerateHospital(7, 6), dtds.GenerateHospital(1, 48)
+	if small.Size() >= DefaultIndexThreshold || large.Size() < DefaultIndexThreshold {
+		t.Fatalf("document sizes %d and %d do not straddle the index threshold", small.Size(), large.Size())
+	}
+	uncompacted := xmltree.NewDocument(large.Root.Clone())
+	type deltas struct{ seq, idx, ord uint64 }
+	run := func(ctx context.Context, doc *xmltree.Document, q string) ([]*xmltree.Node, deltas) {
+		t.Helper()
+		before := e.Stats()
+		out, err := e.QueryStringCtx(ctx, doc, q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		after := e.Stats()
+		return out, deltas{
+			after.SequentialEvals - before.SequentialEvals,
+			after.IndexedEvals - before.IndexedEvals,
+			after.OrdinalEvals - before.OrdinalEvals,
+		}
+	}
+	for _, tc := range []struct {
+		name, q string
+		doc     *xmltree.Document
+		mode    string
+	}{
+		{"small", "//dept//treatment//bill", small, obs.ModeSequential},
+		{"large", "//dept//treatment//bill", large, obs.ModeIndexed},
+		{"large child-only", "dept/staffInfo/staff/*", large, obs.ModeSequential},
+		{"uncompacted large", "//dept//treatment//bill", uncompacted, obs.ModeSequential},
+	} {
+		bare, bareD := run(context.Background(), tc.doc, tc.q)
+		qm := &obs.QueryMetrics{}
+		inst, instD := run(obs.WithQueryMetrics(context.Background(), qm), tc.doc, tc.q)
+		if !reflect.DeepEqual(bare, inst) {
+			t.Errorf("%s: bare %d nodes, instrumented %d", tc.name, len(bare), len(inst))
+		}
+		if len(bare) == 0 {
+			t.Errorf("%s: empty answer proves nothing", tc.name)
+		}
+		if bareD != instD {
+			t.Errorf("%s: Stats deltas bare %+v, instrumented %+v", tc.name, bareD, instD)
+		}
+		want := deltas{seq: 1}
+		if tc.mode == obs.ModeIndexed {
+			want = deltas{idx: 1}
+		}
+		if xpath.OrdinalApplicable(tc.doc) {
+			want.ord = 1
+		}
+		if instD != want {
+			t.Errorf("%s: Stats deltas %+v, want %+v", tc.name, instD, want)
+		}
+		if qm.EvalMode != tc.mode || qm.NodesVisited == 0 {
+			t.Errorf("%s: EvalMode %q with %d nodes visited, want %q and > 0", tc.name, qm.EvalMode, qm.NodesVisited, tc.mode)
+		}
 	}
 }

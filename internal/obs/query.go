@@ -10,7 +10,6 @@ import (
 // all (see internal/anscache).
 const (
 	ModeSequential = "sequential"
-	ModeParallel   = "parallel"
 	ModeIndexed    = "indexed"
 	ModeCached     = "cached"
 )
@@ -53,26 +52,19 @@ type QueryMetrics struct {
 	// empty when the cache is off.
 	AnswerCacheHit string
 
-	// EvalMode is ModeSequential, ModeParallel, or ModeIndexed — what
-	// the evaluator actually did, not what was configured (a
-	// parallel-configured engine still runs small inputs sequentially;
-	// an indexed-configured one walks small documents and
-	// child-axis-only queries).
+	// EvalMode is ModeSequential, ModeIndexed, or ModeCached — what the
+	// pipeline actually did, not what was configured (an
+	// indexed-configured engine evaluates small or uncompacted documents
+	// and child-axis-only queries sequentially).
 	EvalMode string
 	// SetRepr is the node-set representation evaluation used: ReprBitset
 	// on compacted documents (ordinal bitsets, pooled scratch) or
 	// ReprSlice otherwise. For cached answers it reports the
 	// representation the answer is stored in.
 	SetRepr string
-	// NodesVisited counts the sequential or indexed evaluator's
-	// cooperation ticks (one per path step plus one per node in the hot
-	// loops) — a work-done proxy. Zero for parallel evaluations, which
-	// report UnionForks/Partitions instead.
+	// NodesVisited counts the evaluator's cooperation ticks (one per
+	// path step plus one per node in the hot loops) — a work-done proxy.
 	NodesVisited uint64
-	// UnionForks and Partitions are the parallel evaluator's fan-outs
-	// for this request alone.
-	UnionForks uint64
-	Partitions uint64
 
 	// RewrittenSize and OptimizedSize are AST sizes of the intermediate
 	// queries (xpath.Size), recorded on plan build and on explain.

@@ -71,7 +71,7 @@ func NewRegistry(d *dtd.DTD) *Registry {
 // NewRegistryWithConfig is NewRegistry with serving-layer tuning:
 // engineCap bounds each class's engine cache (0 means
 // DefaultEngineCacheCapacity) and engineCfg is handed to every derived
-// engine (plan-cache sizes, parallel evaluation).
+// engine (cache sizes, indexed evaluation, answer cache).
 func NewRegistryWithConfig(d *dtd.DTD, engineCap int, engineCfg core.Config) *Registry {
 	if engineCap <= 0 {
 		engineCap = DefaultEngineCacheCapacity

@@ -12,8 +12,70 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dtds"
 	"repro/internal/obs"
+	"repro/internal/policy"
+	"repro/internal/xmltree"
 )
+
+// TestEvalModeAccounting runs a mixed batch — indexed queries on a
+// 10,254-node document, sequential ones on a 305-node document and on
+// child-axis-only plans, answer-cache hits everywhere, and the large
+// document once uncompacted — and checks at quiescence that every
+// completed pipeline lands in exactly one eval mode and one set
+// representation, with no parallel mode anywhere.
+func TestEvalModeAccounting(t *testing.T) {
+	spec := dtds.NurseSpec()
+	large := dtds.GenerateHospital(1, 48)
+	docs := map[string]*xmltree.Document{
+		"large":       large,
+		"small":       dtds.GenerateHospital(7, 6),
+		"uncompacted": xmltree.NewDocument(large.Root.Clone()),
+	}
+	queries := []string{"//dept//treatment//bill", "//patient/name", "dept/staffInfo/staff/*", "//patient[.//medication]/name"}
+	for name, doc := range docs {
+		reg := policy.NewRegistryWithConfig(spec.D, 0, core.Config{Indexed: true, AnswerCache: true})
+		if _, err := reg.DefineSpec("nurse", spec); err != nil {
+			t.Fatalf("DefineSpec: %v", err)
+		}
+		s := New(reg, doc, Config{})
+		h := s.Handler()
+		for round := 0; round < 2; round++ {
+			for _, q := range queries {
+				if w := get(t, h, "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape(q)); w.Code != http.StatusOK {
+					t.Fatalf("%s %q: status %d", name, q, w.Code)
+				}
+			}
+		}
+		p := s.Stats().Server.Pipeline
+		if p.Count != uint64(2*len(queries)) {
+			t.Fatalf("%s: pipeline count = %d, want %d", name, p.Count, 2*len(queries))
+		}
+		if p.SequentialEvals+p.IndexedEvals+p.CachedEvals != p.Count {
+			t.Errorf("%s: modes %d seq + %d idx + %d cached != %d", name, p.SequentialEvals, p.IndexedEvals, p.CachedEvals, p.Count)
+		}
+		if p.BitsetEvals+p.SliceEvals != p.Count {
+			t.Errorf("%s: reprs %d bitset + %d slice != %d", name, p.BitsetEvals, p.SliceEvals, p.Count)
+		}
+		if p.ParallelEvals != 0 {
+			t.Errorf("%s: ParallelEvals = %d, want 0", name, p.ParallelEvals)
+		}
+		if p.CachedEvals < uint64(len(queries)) {
+			t.Errorf("%s: %d cached evals, want every repeat (%d) answered from the cache", name, p.CachedEvals, len(queries))
+		}
+		wantIndexed := name == "large"
+		if (p.IndexedEvals > 0) != wantIndexed || p.SequentialEvals == 0 {
+			t.Errorf("%s: %d indexed / %d sequential evals, want indexed only on the large compacted document", name, p.IndexedEvals, p.SequentialEvals)
+		}
+		if wantRepr := doc.Compacted(); (p.SliceEvals == 0) != wantRepr {
+			t.Errorf("%s: %d bitset / %d slice evals on a document with Compacted() = %t", name, p.BitsetEvals, p.SliceEvals, wantRepr)
+		}
+		if m := get(t, h, "/metricsz").Body.String(); strings.Contains(m, `mode="parallel"`) {
+			t.Errorf("%s: /metricsz still exports a parallel eval series", name)
+		}
+	}
+}
 
 // metricValue extracts one sample value from a Prometheus exposition
 // (the full sample name including any label set, e.g.

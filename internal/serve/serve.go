@@ -581,7 +581,7 @@ func (s *Server) observePipeline(qm *obs.QueryMetrics) {
 // evalModes and evalReprs order the eval-counter matrix; indexes are
 // resolved by evalModeIndex/reprIndex.
 var (
-	evalModes = [...]string{obs.ModeSequential, obs.ModeParallel, obs.ModeIndexed, obs.ModeCached}
+	evalModes = [...]string{obs.ModeSequential, obs.ModeIndexed, obs.ModeCached}
 	evalReprs = [...]string{obs.ReprSlice, obs.ReprBitset}
 )
 
@@ -674,8 +674,6 @@ type queryEvent struct {
 	SetRepr        string `json:"set_repr,omitempty"`
 
 	NodesVisited uint64 `json:"nodes_visited"`
-	UnionForks   uint64 `json:"union_forks,omitempty"`
-	Partitions   uint64 `json:"partitions,omitempty"`
 	ResultCount  int    `json:"result_count"`
 }
 
@@ -752,8 +750,6 @@ func (s *Server) recordQuery(id uint64, req *queryRequest, elapsed time.Duration
 		EvalMode:       qm.EvalMode,
 		SetRepr:        qm.SetRepr,
 		NodesVisited:   qm.NodesVisited,
-		UnionForks:     qm.UnionForks,
-		Partitions:     qm.Partitions,
 		ResultCount:    results,
 	}
 	if err := s.cfg.EventLog.Emit(ev); err != nil {
@@ -1039,6 +1035,8 @@ type ServerStats struct {
 }
 
 // PipelineStats reports the always-on per-phase accounting.
+// ParallelEvals is kept for readers of the /statsz format and always
+// reads 0: there is no parallel eval mode.
 type PipelineStats struct {
 	Count           uint64                  `json:"count"`
 	PlanCacheHits   uint64                  `json:"plan_cache_hits"`
@@ -1107,9 +1105,8 @@ func (s *Server) Stats() Statsz {
 				EngineHits:      s.engineHits.Load(),
 				EngineMisses:    s.engineMisses.Load(),
 				SequentialEvals: s.evalModeTotal(0),
-				ParallelEvals:   s.evalModeTotal(1),
-				IndexedEvals:    s.evalModeTotal(2),
-				CachedEvals:     s.evalModeTotal(3),
+				IndexedEvals:    s.evalModeTotal(1),
+				CachedEvals:     s.evalModeTotal(2),
 				BitsetEvals:     s.evalReprTotal(1),
 				SliceEvals:      s.evalReprTotal(0),
 				Phases:          phases,

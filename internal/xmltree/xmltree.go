@@ -390,22 +390,3 @@ func SortDocOrder(nodes []*Node) []*Node {
 	}
 	return out
 }
-
-// CoverSize returns the number of distinct nodes in the union of the
-// subtrees rooted at nodes, which must be sorted in document order and
-// deduplicated (SortDocOrder). A node lying inside an earlier node's
-// subtree contributes nothing — its subtree is already covered — so
-// overlapping context sets (an ancestor plus its descendant) are not
-// double-counted.
-func CoverSize(nodes []*Node) int {
-	size := 0
-	limit := -1
-	for _, n := range nodes {
-		if n.ord <= limit {
-			continue
-		}
-		size += n.desc + 1
-		limit = n.ord + n.desc
-	}
-	return size
-}

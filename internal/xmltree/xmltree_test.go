@@ -326,40 +326,3 @@ func TestDocOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestCoverSize: subtree-union sizing must count overlapping subtrees
-// once (duplicates and ancestor/descendant pairs), since the parallel
-// evaluator's gate depends on it.
-func TestCoverSize(t *testing.T) {
-	doc := NewDocument(E("a",
-		E("b", T("c", "1"), T("c", "2")),
-		E("d", E("e", T("f", "3")))))
-	root := doc.Root
-	b := root.Children[0]
-	d := root.Children[1]
-	e := d.Children[0]
-	cases := []struct {
-		name  string
-		nodes []*Node
-		want  int
-	}{
-		{"empty", nil, 0},
-		{"root alone", []*Node{root}, doc.Size()},
-		{"disjoint siblings", []*Node{b, d}, b.DescendantCount() + d.DescendantCount() + 2},
-		{"ancestor plus descendant", []*Node{root, e}, doc.Size()},
-		{"root plus everything", []*Node{root, b, d, e}, doc.Size()},
-		{"nested pair", []*Node{d, e}, d.DescendantCount() + 1},
-	}
-	for _, c := range cases {
-		nodes := SortDocOrder(append([]*Node(nil), c.nodes...))
-		if got := CoverSize(nodes); got != c.want {
-			t.Errorf("%s: CoverSize = %d, want %d", c.name, got, c.want)
-		}
-	}
-	// Duplicates are removed by SortDocOrder before sizing; CoverSize on
-	// the canonical set equals the single-node size.
-	dup := SortDocOrder([]*Node{e, e, e})
-	if got := CoverSize(dup); got != e.DescendantCount()+1 {
-		t.Errorf("duplicates: CoverSize = %d, want %d", got, e.DescendantCount()+1)
-	}
-}

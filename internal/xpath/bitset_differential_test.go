@@ -85,7 +85,7 @@ func TestDifferentialBitsetVsSlice(t *testing.T) {
 			MaxDepth:  6,
 		})
 		if doc.Size() > 1500 {
-			continue // see TestDifferentialParallelVsSequential
+			continue // nested Descend qualifiers are superlinear; keep the sweep fast
 		}
 		twin := sliceTwin(t, doc)
 		idx := xpath.NewIndex(doc)
@@ -106,7 +106,7 @@ func TestDifferentialBitsetVsSlice(t *testing.T) {
 			assertSortedUnique(t, "bitset "+xpath.String(p), got)
 			assertSameOrds(t, "bitset ≠ slice on "+xpath.String(p)+"\nDTD:\n"+src, got, want)
 
-			gotIdx, err := xpath.EvalIndexedErr(p, idx)
+			gotIdx, err := xpath.EvalIndexedCtx(nil, p, idx)
 			if err != nil {
 				t.Fatalf("indexed bitset eval error on %s: %v", xpath.String(p), err)
 			}
@@ -122,13 +122,13 @@ func TestDifferentialBitsetVsSlice(t *testing.T) {
 				ctx[i] = doc.Nodes()[ord]
 				twinCtx[i] = twin.Nodes()[ord]
 			}
-			wantAt, err := xpath.EvalAtErr(p, twinCtx)
+			wantAt, err := xpath.EvalAtCtx(nil, p, twinCtx)
 			if err != nil {
-				t.Fatalf("slice EvalAt error on %s: %v", xpath.String(p), err)
+				t.Fatalf("slice EvalAtCtx error on %s: %v", xpath.String(p), err)
 			}
-			gotAt, err := xpath.EvalAtErr(p, ctx)
+			gotAt, err := xpath.EvalAtCtx(nil, p, ctx)
 			if err != nil {
-				t.Fatalf("bitset EvalAt error on %s: %v", xpath.String(p), err)
+				t.Fatalf("bitset EvalAtCtx error on %s: %v", xpath.String(p), err)
 			}
 			assertSameOrds(t, "bitset@ctx ≠ slice@ctx on "+xpath.String(p), gotAt, wantAt)
 		}
@@ -218,7 +218,7 @@ func TestBitsetDetachedNodeFallback(t *testing.T) {
 			if err != nil {
 				t.Fatalf("doc eval error on %s: %v", xpath.String(p), err)
 			}
-			got, err := xpath.EvalAtErr(p, []*xmltree.Node{detached})
+			got, err := xpath.EvalAtCtx(nil, p, []*xmltree.Node{detached})
 			if err != nil {
 				t.Fatalf("detached eval error on %s: %v", xpath.String(p), err)
 			}
@@ -464,7 +464,7 @@ func checkQualifiedPlan(t *testing.T, label string, doc, twin *xmltree.Document,
 		t.Fatalf("%s: bitset eval %s: %v", label, xpath.String(p), err)
 	}
 	assertSameOrds(t, label+": bitset ≠ slice on "+xpath.String(p), got, want)
-	gotIdx, err := xpath.EvalIndexedErr(p, xpath.NewIndex(doc))
+	gotIdx, err := xpath.EvalIndexedCtx(nil, p, xpath.NewIndex(doc))
 	if err != nil {
 		t.Fatalf("%s: indexed eval %s: %v", label, xpath.String(p), err)
 	}

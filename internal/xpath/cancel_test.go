@@ -1,15 +1,12 @@
 package xpath_test
 
 // Cancellation suite: evaluation under a done context must return the
-// context's error promptly — even mid-descent on a large document — and
-// the parallel evaluator must drain its worker pool so no goroutine
-// outlives the call.
+// context's error promptly — even mid-descent on a large document.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -93,72 +90,6 @@ func TestEvalDocCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-func TestEvalDocParallelCtxCancelMidFlight(t *testing.T) {
-	doc := chainDoc(1500)
-	p := slowQuery(t)
-	cfg := xpath.ParallelConfig{Workers: 4, Threshold: 64}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	var stats xpath.ParallelStats
-	start := time.Now()
-	_, err := xpath.EvalDocParallelCtx(ctx, p, doc, cfg, &stats)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	assertPrompt(t, elapsed)
-}
-
-// TestEvalDocParallelCtxNoGoroutineLeak: repeated cancelled parallel
-// evaluations must not leave workers behind — EvalDocParallelCtx drains
-// its pool before returning.
-func TestEvalDocParallelCtxNoGoroutineLeak(t *testing.T) {
-	doc := chainDoc(800)
-	p := slowQuery(t)
-	cfg := xpath.ParallelConfig{Workers: 8, Threshold: 32}
-
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_, err := xpath.EvalDocParallelCtx(ctx, p, doc, cfg, nil)
-		cancel()
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("iteration %d: unexpected error %v", i, err)
-		}
-	}
-	// Give any stragglers a moment to exit before counting, then allow a
-	// small delta for runtime background goroutines.
-	time.Sleep(50 * time.Millisecond)
-	after := runtime.NumGoroutine()
-	if after > before+2 {
-		t.Errorf("goroutines grew from %d to %d across 20 cancelled parallel evals", before, after)
-	}
-}
-
-// TestEvalDocParallelCtxCompletesUncancelled: a context that never fires
-// must not perturb results.
-func TestEvalDocParallelCtxCompletesUncancelled(t *testing.T) {
-	doc := chainDoc(300)
-	p := slowQuery(t)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	want, err := xpath.EvalDocErr(p, doc)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	got, err := xpath.EvalDocParallelCtx(ctx, p, doc, xpath.ParallelConfig{Workers: 4, Threshold: 64}, nil)
-	if err != nil {
-		t.Fatalf("parallel with live context: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Errorf("context-carrying eval changed the answer: %d vs %d nodes", len(got), len(want))
-	}
-}
-
 // TestEvalIndexedCtxDeadlinePrompt: the indexed evaluator honors the
 // same cancellation-promptness contract as the walk evaluator — a
 // 1ms deadline cuts a multi-hundred-ms evaluation off within the
@@ -169,7 +100,7 @@ func TestEvalIndexedCtxDeadlinePrompt(t *testing.T) {
 	idx := xpath.NewIndex(doc)
 
 	start := time.Now()
-	if _, err := xpath.EvalIndexedErr(p, idx); err != nil {
+	if _, err := xpath.EvalIndexedCtx(nil, p, idx); err != nil {
 		t.Fatalf("uncancelled indexed eval: %v", err)
 	}
 	full := time.Since(start)

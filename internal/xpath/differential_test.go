@@ -1,19 +1,17 @@
 package xpath_test
 
 // Differential property suite: on randomized (DTD, document, query)
-// triples, the parallel evaluator must agree with the sequential one
-// exactly — same node set, same document order, no duplicates — across
-// worker counts and partition thresholds. Hand-written equivalence cases
-// only cover the query shapes their authors thought of; the randomized
-// sweep pins the ≡ down across the whole fragment, including the
-// degenerate shapes (∅, ε, deep unions, qualifier nests) that tend to
-// hide partitioning bugs. Run it under -race to make it a concurrency
-// check too.
+// triples, the indexed bitset evaluator must agree with the slice
+// reference walk exactly — same node set, same document order, no
+// duplicates. Hand-written equivalence cases only cover the query shapes
+// their authors thought of; the randomized sweep pins the ≡ down across
+// the whole fragment, including the degenerate shapes (∅, ε, deep
+// unions, qualifier nests) that tend to hide interval and posting-list
+// bugs.
 
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/dtd"
@@ -152,67 +150,9 @@ func assertSortedUnique(t *testing.T, label string, nodes []*xmltree.Node) {
 	}
 }
 
-// TestDifferentialParallelVsSequential sweeps ~200 randomized (DTD,
-// document, query) triples and a grid of parallel configurations.
-func TestDifferentialParallelVsSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(20260806))
-	configs := []xpath.ParallelConfig{
-		{Threshold: -1, Workers: 1},
-		{Threshold: -1, Workers: 4},
-		{Threshold: 64, Workers: 2},
-		{}, // defaults: threshold gate usually keeps small docs sequential
-	}
-	triples := 0
-	for triples < 200 {
-		src := randomDTDSource(r)
-		d, err := dtd.Parse(src)
-		if err != nil {
-			t.Fatalf("random DTD does not parse: %v\n%s", err, src)
-		}
-		doc := xmlgen.Generate(d, xmlgen.Config{
-			Seed:      r.Int63(),
-			MinRepeat: 1,
-			MaxRepeat: 2 + r.Intn(3),
-			MaxDepth:  6,
-		})
-		if doc.Size() > 1500 {
-			// Random star chains occasionally explode; nested Descend
-			// qualifiers are superlinear, so cap the document to keep the
-			// 200-triple sweep fast. The large-doc partitioning paths get
-			// their own dedicated test below.
-			continue
-		}
-		labels := append(d.Types(), xpath.TextName)
-		for q := 0; q < 5; q++ {
-			triples++
-			p := randPath(r, labels, 3)
-			want, seqErr := xpath.EvalDocErr(p, doc)
-			if seqErr != nil {
-				t.Fatalf("sequential eval error on %s: %v", xpath.String(p), seqErr)
-			}
-			assertSortedUnique(t, "sequential "+xpath.String(p), want)
-			for _, cfg := range configs {
-				var stats xpath.ParallelStats
-				got, err := xpath.EvalDocParallel(p, doc, cfg, &stats)
-				if err != nil {
-					t.Fatalf("parallel eval error (cfg %+v) on %s: %v", cfg, xpath.String(p), err)
-				}
-				assertSortedUnique(t, fmt.Sprintf("parallel %+v %s", cfg, xpath.String(p)), got)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("parallel ≠ sequential (cfg %+v)\nquery: %s\ngot %d nodes, want %d\nDTD:\n%s",
-						cfg, xpath.String(p), len(got), len(want), src)
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialLargeDocPartitioning repeats the check on documents
-// big enough to cross the default threshold, so the partitioned Descend
-// and qualifier paths run for real (not just with Threshold: -1).
-func TestDifferentialLargeDocPartitioning(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	src := `
+// largeDocDTD generates documents of a few thousand nodes with deep
+// descendant chains at Seed 7, MaxRepeat 9.
+const largeDocDTD = `
 root e0
 e0 -> e1*
 e1 -> e2, e3*
@@ -221,50 +161,11 @@ e3 -> e4, e5
 e4 -> e5*
 e5 -> #PCDATA
 `
-	d := dtd.MustParse(src)
-	doc := xmlgen.Generate(d, xmlgen.Config{Seed: 7, MinRepeat: 2, MaxRepeat: 9, MaxDepth: 10})
-	if doc.Size() < xpath.DefaultParallelThreshold {
-		t.Fatalf("generated doc too small to exercise partitioning: %d nodes", doc.Size())
-	}
-	labels := append(d.Types(), xpath.TextName)
-	for i := 0; i < 25; i++ {
-		p := randPath(r, labels, 2)
-		want, err := xpath.EvalDocErr(p, doc)
-		if err != nil {
-			t.Fatalf("sequential: %v", err)
-		}
-		for _, cfg := range []xpath.ParallelConfig{{}, {Workers: 3, Threshold: 128}} {
-			var stats xpath.ParallelStats
-			got, err := xpath.EvalDocParallel(p, doc, cfg, &stats)
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parallel ≠ sequential on %s (cfg %+v): got %d want %d nodes",
-					xpath.String(p), cfg, len(got), len(want))
-			}
-		}
-	}
-}
-
-// assertSameNodes fails unless got and want hold the same nodes in the
-// same order (nil and empty are equal — the evaluators differ on which
-// they produce for empty results).
-func assertSameNodes(t *testing.T, label string, got, want []*xmltree.Node) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d nodes, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: node %d differs (%s vs %s)", label, i, got[i].Path(), want[i].Path())
-		}
-	}
-}
 
 // TestDifferentialIndexedVsSequential sweeps ~200 randomized (DTD,
 // document, query) triples through the indexed evaluator, checking the
-// indexed ≡ sequential equivalence at the document root and at random
+// indexed ≡ sequential equivalence against the slice reference walk on
+// the uncompacted twin, at the document root and at random
 // subcontexts. This is the suite that licenses serving traffic from the
 // label index: any divergence here is a policy-enforcement bug, not a
 // performance bug.
@@ -284,82 +185,106 @@ func TestDifferentialIndexedVsSequential(t *testing.T) {
 			MaxDepth:  6,
 		})
 		if doc.Size() > 1500 {
-			continue // see TestDifferentialParallelVsSequential
+			continue // nested Descend qualifiers are superlinear; keep the sweep fast
 		}
+		twin := sliceTwin(t, doc)
 		idx := xpath.NewIndex(doc)
 		labels := append(d.Types(), xpath.TextName)
 		for q := 0; q < 5; q++ {
 			triples++
 			p := randPath(r, labels, 3)
-			want, seqErr := xpath.EvalDocErr(p, doc)
+			want, seqErr := xpath.EvalDocErr(p, twin)
 			if seqErr != nil {
 				t.Fatalf("sequential eval error on %s: %v", xpath.String(p), seqErr)
 			}
-			got, err := xpath.EvalIndexedErr(p, idx)
+			got, err := xpath.EvalIndexedCtx(nil, p, idx)
 			if err != nil {
 				t.Fatalf("indexed eval error on %s: %v", xpath.String(p), err)
 			}
 			assertSortedUnique(t, "indexed "+xpath.String(p), got)
-			assertSameNodes(t, "indexed ≠ sequential on "+xpath.String(p)+"\nDTD:\n"+src, got, want)
+			assertSameOrds(t, "indexed ≠ sequential on "+xpath.String(p)+"\nDTD:\n"+src, got, want)
 
 			// Subcontext leg: a random context set (possibly with
 			// duplicates and ancestor/descendant overlap) exercises the
-			// selectivity gate and the underContext interval filter.
-			all := doc.Nodes()
+			// selectivity gate and the posting-list cover filter.
 			ctx := make([]*xmltree.Node, 1+r.Intn(4))
+			twinCtx := make([]*xmltree.Node, len(ctx))
 			for i := range ctx {
-				ctx[i] = all[r.Intn(len(all))]
+				ord := r.Intn(doc.Size())
+				ctx[i], twinCtx[i] = doc.Nodes()[ord], twin.Nodes()[ord]
 			}
-			wantAt, err := xpath.EvalAtErr(p, ctx)
+			wantAt, err := xpath.EvalAtCtx(nil, p, twinCtx)
 			if err != nil {
-				t.Fatalf("sequential EvalAt error on %s: %v", xpath.String(p), err)
+				t.Fatalf("sequential EvalAtCtx error on %s: %v", xpath.String(p), err)
 			}
-			gotAt, err := xpath.EvalIndexedAtCtx(nil, p, idx, ctx)
+			gotAt, err := xpath.EvalIndexedAt(p, idx, ctx)
 			if err != nil {
-				t.Fatalf("indexed EvalAt error on %s: %v", xpath.String(p), err)
+				t.Fatalf("indexed subcontext error on %s: %v", xpath.String(p), err)
 			}
-			assertSameNodes(t, "indexed@ctx ≠ sequential@ctx on "+xpath.String(p), gotAt, wantAt)
+			assertSameOrds(t, "indexed@ctx ≠ sequential@ctx on "+xpath.String(p), gotAt, wantAt)
 		}
 	}
 }
 
-// TestDifferentialIndexedLargeDoc repeats the indexed ≡ sequential
-// check on a document big enough that the selectivity heuristic
-// actually chooses the posting-list path for whole-document descends.
-func TestDifferentialIndexedLargeDoc(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	src := `
-root e0
-e0 -> e1*
-e1 -> e2, e3*
-e2 -> e4*
-e3 -> e4, e5
-e4 -> e5*
-e5 -> #PCDATA
-`
-	d := dtd.MustParse(src)
+// TestDifferentialLargeDocPartitioning repeats the bitset ≡ slice check
+// on a document of a few thousand nodes, so the bitset Descend and
+// qualifier paths run over many words of the node set, not just the
+// first one or two that small generated documents fill.
+func TestDifferentialLargeDocPartitioning(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	d := dtd.MustParse(largeDocDTD)
 	doc := xmlgen.Generate(d, xmlgen.Config{Seed: 7, MinRepeat: 2, MaxRepeat: 9, MaxDepth: 10})
 	if doc.Size() < 1000 {
 		t.Fatalf("generated doc too small: %d nodes", doc.Size())
 	}
-	idx := xpath.NewIndex(doc)
+	twin := sliceTwin(t, doc)
 	labels := append(d.Types(), xpath.TextName)
 	for i := 0; i < 25; i++ {
 		p := randPath(r, labels, 2)
-		want, err := xpath.EvalDocErr(p, doc)
+		want, err := xpath.EvalDocErr(p, twin)
 		if err != nil {
-			t.Fatalf("sequential: %v", err)
+			t.Fatalf("slice: %v", err)
 		}
-		got, err := xpath.EvalIndexedErr(p, idx)
+		got, err := xpath.EvalDocErr(p, doc)
+		if err != nil {
+			t.Fatalf("bitset: %v", err)
+		}
+		assertSameOrds(t, "large-doc bitset on "+xpath.String(p), got, want)
+	}
+}
+
+// TestDifferentialIndexedLargeDoc repeats the indexed ≡ slice check on a
+// document well past the serving index threshold (512 nodes), big enough
+// that the selectivity heuristic actually chooses the posting-list path
+// for whole-document descends.
+func TestDifferentialIndexedLargeDoc(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	d := dtd.MustParse(largeDocDTD)
+	doc := xmlgen.Generate(d, xmlgen.Config{Seed: 7, MinRepeat: 2, MaxRepeat: 9, MaxDepth: 10})
+	if doc.Size() < 1000 {
+		t.Fatalf("generated doc too small: %d nodes", doc.Size())
+	}
+	twin := sliceTwin(t, doc)
+	idx := xpath.NewIndex(doc)
+	labels := append(d.Types(), xpath.TextName)
+	check := func(p xpath.Path) {
+		t.Helper()
+		want, err := xpath.EvalDocErr(p, twin)
+		if err != nil {
+			t.Fatalf("slice: %v", err)
+		}
+		got, err := xpath.EvalIndexedCtx(nil, p, idx)
 		if err != nil {
 			t.Fatalf("indexed: %v", err)
 		}
-		assertSameNodes(t, "large-doc indexed on "+xpath.String(p), got, want)
+		assertSameOrds(t, "large-doc indexed on "+xpath.String(p), got, want)
+	}
+	for i := 0; i < 25; i++ {
+		check(randPath(r, labels, 2))
 	}
 	// The canonical deep-descendant shapes, pinned explicitly.
 	for _, q := range []string{"//e1//e4//e5", "//e1//e5/text()", "//e1[.//e4]//e5", "//e0//e1//e3//e5"} {
-		p := xpath.MustParse(q)
-		assertSameNodes(t, q, xpath.EvalIndexed(p, idx), xpath.EvalDoc(p, doc))
+		check(xpath.MustParse(q))
 	}
 }
 
@@ -369,8 +294,8 @@ func TestEvalIndexedRejectsUnboundVars(t *testing.T) {
 	doc := xmlgen.Generate(dtd.MustParse("root e0\ne0 -> #PCDATA\n"), xmlgen.Config{Seed: 1})
 	idx := xpath.NewIndex(doc)
 	p := xpath.Qualified{Sub: xpath.Self{}, Cond: xpath.QEq{Path: xpath.Self{}, Var: "w"}}
-	if _, err := xpath.EvalIndexedErr(p, idx); err == nil {
-		t.Fatalf("unbound variable accepted by EvalIndexedErr")
+	if _, err := xpath.EvalIndexedCtx(nil, p, idx); err == nil {
+		t.Fatalf("unbound variable accepted by EvalIndexedCtx")
 	}
 	defer func() {
 		if recover() == nil {

@@ -12,31 +12,13 @@ import (
 // selected nodes in document order without duplicates (the paper's v⟦p⟧).
 // The query must not contain unbound variables; bind them first with
 // BindVars. Eval panics on unbound variables — untrusted queries should
-// go through EvalErr instead.
+// go through EvalAtCtx instead.
 func Eval(p Path, ctx *xmltree.Node) []*xmltree.Node {
-	return EvalAt(p, []*xmltree.Node{ctx})
-}
-
-// EvalErr is Eval returning an error instead of panicking on unbound
-// $variables or malformed AST nodes.
-func EvalErr(p Path, ctx *xmltree.Node) ([]*xmltree.Node, error) {
-	return EvalAtErr(p, []*xmltree.Node{ctx})
-}
-
-// EvalAt evaluates the query at a set of context nodes and returns the
-// union of the per-node results in document order without duplicates.
-// It panics on unbound variables; see EvalAtErr.
-func EvalAt(p Path, ctx []*xmltree.Node) []*xmltree.Node {
-	out, err := EvalAtErr(p, ctx)
+	out, err := EvalAtCtx(nil, p, []*xmltree.Node{ctx})
 	if err != nil {
 		panic("xpath: " + err.Error())
 	}
 	return out
-}
-
-// EvalAtErr is EvalAt returning an error instead of panicking.
-func EvalAtErr(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
-	return EvalAtCtx(nil, p, ctx)
 }
 
 // EvalDoc evaluates a query over a whole document, using the document
@@ -50,7 +32,7 @@ func EvalDoc(p Path, doc *xmltree.Document) []*xmltree.Node {
 
 // EvalDocErr is EvalDoc returning an error instead of panicking.
 func EvalDocErr(p Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return EvalErr(p, doc.Root)
+	return EvalDocCtx(nil, p, doc)
 }
 
 // EvalDocCtx is EvalDocErr honoring a context: evaluation checks for
@@ -58,28 +40,8 @@ func EvalDocErr(p Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
 // descendant walks and qualifier-filter loops) and returns ctx.Err() once
 // the context is done. A nil context disables the checks.
 func EvalDocCtx(ctx context.Context, p Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return EvalAtCtx(ctx, p, []*xmltree.Node{doc.Root})
-}
-
-// EvalAtCtx is EvalAtErr honoring a context; see EvalDocCtx.
-//
-// Contexts whose nodes all carry fresh numbering from one compacted
-// document take the ordinal (bitset) path — same results, same
-// cancellation behavior, near-zero intermediate allocation; see
-// bitset_eval.go. All other contexts evaluate over node slices.
-func EvalAtCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	e := newSeqEval(ctx)
-	if err := e.cancelled(); err != nil {
-		return nil, err
-	}
-	if d := ordinalDoc(nodes); d != nil {
-		return evalOrdinal(e, nil, d, p, nodes)
-	}
-	out, err := e.path(p, nodes)
-	if err != nil {
-		return nil, err
-	}
-	return xmltree.SortDocOrder(out), nil
+	out, _, err := evalNodes(ctx, p, []*xmltree.Node{doc.Root}, nil)
+	return out, err
 }
 
 // EvalDocCtxCounted is EvalDocCtx additionally reporting the
@@ -89,16 +51,38 @@ func EvalAtCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.N
 // when ctx is non-nil (the tick counter rides the cancellation
 // machinery); the serving layer always passes a real context.
 func EvalDocCtxCounted(ctx context.Context, p Path, doc *xmltree.Document) ([]*xmltree.Node, uint64, error) {
+	return evalNodes(ctx, p, []*xmltree.Node{doc.Root}, nil)
+}
+
+// EvalAtCtx evaluates at a set of context nodes and returns the union of
+// the per-node results in document order without duplicates, honoring
+// ctx like EvalDocCtx.
+func EvalAtCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
+	out, _, err := evalNodes(ctx, p, nodes, nil)
+	return out, err
+}
+
+// evalNodes is the one evaluation routine behind every entry point.
+// Contexts whose nodes all carry fresh numbering from one compacted
+// document take the ordinal (bitset) path — same results, same
+// cancellation behavior, near-zero intermediate allocation; see
+// bitset_eval.go — and answer label-headed descendant steps from idx's
+// posting lists when idx indexes that document. Every other context is
+// the slice walk (seqEval.path), which is also the reference the
+// differential suites check the bitset path against.
+func evalNodes(ctx context.Context, p Path, nodes []*xmltree.Node, idx *Index) ([]*xmltree.Node, uint64, error) {
 	e := newSeqEval(ctx)
 	if err := e.cancelled(); err != nil {
 		return nil, 0, err
 	}
-	root := []*xmltree.Node{doc.Root}
-	if d := ordinalDoc(root); d != nil {
-		out, err := evalOrdinal(e, nil, d, p, root)
+	if d := ordinalDoc(nodes); d != nil {
+		if idx != nil && idx.doc != d {
+			idx = nil // posting lists must not filter another document's ordinals
+		}
+		out, err := evalOrdinal(e, idx, d, p, nodes)
 		return out, uint64(e.ticks), err
 	}
-	out, err := e.path(p, root)
+	out, err := e.path(p, nodes)
 	if err != nil {
 		return nil, uint64(e.ticks), err
 	}
@@ -122,10 +106,9 @@ func EvalQualCtx(ctx context.Context, q Qual, v *xmltree.Node) (bool, error) {
 // increment per tick.
 const tickMask = 127
 
-// seqEval is one sequential evaluation: the optional cancellation
-// context and the tick counter that rate-limits polling it. A seqEval is
-// used by a single goroutine; the parallel evaluator creates one per
-// worker rather than sharing.
+// seqEval is one evaluation's cancellation state: the optional context
+// and the tick counter that rate-limits polling it. It is also the slice
+// walk itself (path, qual). A seqEval is used by a single goroutine.
 type seqEval struct {
 	ctx      context.Context
 	ticks    uint
@@ -279,7 +262,7 @@ func (e *seqEval) path(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 		}
 		return out, nil
 	case Rec:
-		return evalRec(p, ctx, e.path)
+		return e.rec(p, ctx)
 	default:
 		return nil, fmt.Errorf("evalPath: unknown path node %T", p)
 	}

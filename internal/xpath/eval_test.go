@@ -223,13 +223,23 @@ func TestBindVars(t *testing.T) {
 	}
 }
 
+// mustEvalAt evaluates at a context set, failing the test on error.
+func mustEvalAt(t *testing.T, p Path, ctx []*xmltree.Node) []*xmltree.Node {
+	t.Helper()
+	out, err := EvalAtCtx(nil, p, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestEvalAtMultipleContexts(t *testing.T) {
 	doc := hospitalDoc()
 	depts := EvalDoc(MustParse("dept"), doc)
 	if len(depts) != 2 {
 		t.Fatalf("depts = %d", len(depts))
 	}
-	got := EvalAt(MustParse("patientInfo/patient/name"), depts)
+	got := mustEvalAt(t, MustParse("patientInfo/patient/name"), depts)
 	if !reflect.DeepEqual(texts(got), []string{"Alice", "Bob"}) {
 		t.Errorf("EvalAt = %v", texts(got))
 	}

@@ -17,8 +17,8 @@ func TestEvalErrUnboundVariable(t *testing.T) {
 	if _, err := EvalDocErr(p, doc); err == nil || !strings.Contains(err.Error(), "$w") {
 		t.Errorf("EvalDocErr = %v, want unbound-variable error naming $w", err)
 	}
-	if _, err := EvalErr(p, doc.Root); err == nil {
-		t.Errorf("EvalErr accepted unbound variable")
+	if _, err := EvalAtCtx(nil, p, []*xmltree.Node{doc.Root}); err == nil {
+		t.Errorf("EvalAtCtx accepted unbound variable")
 	}
 	q := MustParseQual("wardNo = $x")
 	if _, err := EvalQualErr(q, doc.Root); err == nil || !strings.Contains(err.Error(), "$x") {

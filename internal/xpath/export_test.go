@@ -6,6 +6,13 @@ import (
 	"repro/internal/xmltree"
 )
 
+// EvalIndexedAt evaluates at a set of context nodes through the index,
+// the way a descendant step inside a plan reaches the posting lists.
+func EvalIndexedAt(p Path, idx *Index, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
+	out, _, err := evalNodes(nil, p, ctx, idx)
+	return out, err
+}
+
 // QualNodeLocal evaluates q at v the way the bitset evaluator does: QPath
 // and QEq run the node-local existential walk. v must belong to a
 // compacted document.

@@ -3,13 +3,13 @@ package xpath_test
 // Fuzz targets for the error-returning evaluator path: any query or
 // qualifier the parser accepts must evaluate without panicking —
 // rejections (unbound $variables) must come back as errors — and the
-// forced-parallel evaluator must agree with the sequential one on every
-// accepted input. Seeds come from the example queries shipped in
+// bitset evaluator that serves production, with and without the label
+// index, must agree with the slice reference walk on every accepted
+// input. Seeds come from the example queries shipped in
 // internal/dtds (the Table 1 Adex benchmarks and the hospital/nurse
 // scenario).
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/dtds"
@@ -57,39 +57,59 @@ func fuzzSeeds() []string {
 	return seeds
 }
 
-// FuzzEval drives EvalErr (via EvalDocErr) and the forced-parallel
-// evaluator with arbitrary parsed queries. Run with
-// go test -fuzz=FuzzEval$ ./internal/xpath.
+// FuzzEval drives three evaluations of arbitrary parsed queries against
+// each other: the bitset path (EvalDocErr on a compacted clone of
+// fuzzDoc), the bitset path with posting lists (EvalIndexedCtx over the
+// clone's index), and the slice walk (EvalDocErr on the uncompacted
+// fuzzDoc). All three must return the same error status and the same
+// node ordinals. Run with go test -fuzz=FuzzEval$ ./internal/xpath.
 func FuzzEval(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	doc := fuzzDoc()
-	cfg := xpath.ParallelConfig{Threshold: -1, Workers: 2}
+	compact := xmltree.NewDocument(doc.Root.Clone())
+	compact.Compact()
+	idx := xpath.NewIndex(compact)
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := xpath.Parse(src)
 		if err != nil {
 			return // parser rejection is fine; evaluator panics are not
 		}
-		seq, seqErr := xpath.EvalDocErr(p, doc)
-		par, parErr := xpath.EvalDocParallel(p, doc, cfg, nil)
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("evaluators disagree on error for %q: sequential %v, parallel %v", src, seqErr, parErr)
+		ref, refErr := xpath.EvalDocErr(p, doc)
+		bits, bitsErr := xpath.EvalDocErr(p, compact)
+		indexed, idxErr := xpath.EvalIndexedCtx(nil, p, idx)
+		if (refErr == nil) != (bitsErr == nil) || (refErr == nil) != (idxErr == nil) {
+			t.Fatalf("evaluators disagree on error for %q: slice %v, bitset %v, indexed %v", src, refErr, bitsErr, idxErr)
 		}
-		if seqErr != nil {
-			return // both rejected (e.g. unbound $variable) without panicking
+		if refErr != nil {
+			return // all rejected (e.g. unbound $variable) without panicking
 		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("parallel ≠ sequential for %q: %d vs %d nodes", src, len(par), len(seq))
+		if !sameOrds(bits, ref) || !sameOrds(indexed, ref) {
+			t.Fatalf("evaluators disagree on %q: slice %d, bitset %d, indexed %d nodes", src, len(ref), len(bits), len(indexed))
 		}
-		seen := make(map[*xmltree.Node]bool, len(seq))
-		for i, n := range seq {
-			if seen[n] || (i > 0 && seq[i-1].Ord() >= n.Ord()) {
+		seen := make(map[*xmltree.Node]bool, len(ref))
+		for i, n := range ref {
+			if seen[n] || (i > 0 && ref[i-1].Ord() >= n.Ord()) {
 				t.Fatalf("result of %q violates the sorted-unique invariant at %d", src, i)
 			}
 			seen[n] = true
 		}
 	})
+}
+
+// sameOrds reports whether two results hold the same preorder ordinals
+// in the same order — node equality across a document and its clone.
+func sameOrds(got, want []*xmltree.Node) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i].Ord() != want[i].Ord() {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzEvalQual does the same for bare qualifiers through EvalQualErr.

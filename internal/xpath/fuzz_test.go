@@ -14,6 +14,8 @@ func FuzzParse(f *testing.F) {
 		`a[b = "6" or not(c)]`,
 		"a[b = $w]",
 		`x[@accessibility = "1"]`,
+		`a[b = 'say "hi"']`,
+		`a[@dir = "c:\tmp"]`,
 		"text()",
 		"∅ | a",
 		"a[.[b] and c/d]",

@@ -2,9 +2,10 @@ package xpath
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xmltree"
 )
 
 func TestIndexBasics(t *testing.T) {
@@ -20,8 +21,7 @@ func TestIndexBasics(t *testing.T) {
 		t.Errorf("Labeled(nosuch) = %d", got)
 	}
 	// Posting lists are in document order.
-	for _, l := range idx.labels() {
-		nodes := idx.Labeled(l)
+	for l, nodes := range idx.byLabel {
 		for i := 1; i < len(nodes); i++ {
 			if nodes[i-1].Ord() >= nodes[i].Ord() {
 				t.Errorf("posting list for %s out of order", l)
@@ -64,14 +64,30 @@ func TestEvalIndexedMatchesEval(t *testing.T) {
 }
 
 func TestEvalIndexedAtSubcontext(t *testing.T) {
-	doc := hospitalDoc()
+	// The slice walk on the hand-built tree is the reference; the
+	// compacted clone takes the bitset path with posting lists.
+	ref := hospitalDoc()
+	doc := xmltree.NewDocument(ref.Root.Clone())
+	doc.Compact()
 	idx := NewIndex(doc)
+	p := MustParse("//bill")
 	depts := EvalDoc(MustParse("dept"), doc)
 	// Evaluate //bill at the second dept only.
-	got := EvalIndexedAt(MustParse("//bill"), idx, depts[1:])
-	want := EvalAt(MustParse("//bill"), depts[1:])
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("subcontext: indexed %v, tree %v", texts(got), texts(want))
+	got, _, err := evalNodes(nil, p, depts[1:], idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EvalAtCtx(nil, p, EvalDoc(MustParse("dept"), ref)[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("subcontext: indexed %v, tree %v", texts(got), texts(want))
+	}
+	for i := range want {
+		if got[i].Ord() != want[i].Ord() {
+			t.Errorf("subcontext: node %d at ord %d, tree %d", i, got[i].Ord(), want[i].Ord())
+		}
 	}
 	if len(got) != 1 || got[0].Text() != "70" {
 		t.Errorf("subcontext bills = %v", texts(got))

@@ -121,10 +121,11 @@ func writeQual(b *strings.Builder, q Qual, ctx int) {
 			b.WriteString("$")
 			b.WriteString(q.Var)
 		} else {
-			fmt.Fprintf(b, "%q", q.Value)
+			writeLiteral(b, q.Value)
 		}
 	case QAttrEq:
-		fmt.Fprintf(b, "@%s = %q", q.Name, q.Value)
+		fmt.Fprintf(b, "@%s = ", q.Name)
+		writeLiteral(b, q.Value)
 	case QAttrHas:
 		fmt.Fprintf(b, "@%s", q.Name)
 	case QAnd:
@@ -156,4 +157,19 @@ func writeQual(b *strings.Builder, q Qual, ctx int) {
 	default:
 		fmt.Fprintf(b, "<?qual %T>", q)
 	}
+}
+
+// writeLiteral writes a string constant the way parseLiteral reads it:
+// verbatim between quotes, since the grammar has no escapes. It uses
+// double quotes unless the value contains one. A value holding both
+// quote characters (possible only through BindVars) has no literal
+// form.
+func writeLiteral(b *strings.Builder, v string) {
+	quote := byte('"')
+	if strings.IndexByte(v, '"') >= 0 {
+		quote = '\''
+	}
+	b.WriteByte(quote)
+	b.WriteString(v)
+	b.WriteByte(quote)
 }

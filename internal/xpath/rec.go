@@ -167,7 +167,7 @@ type recKey struct {
 	state string
 }
 
-// recSeenPool recycles the visited-pair maps between evalRec calls:
+// recSeenPool recycles the visited-pair maps between rec calls:
 // the product search probes the map once per (node, state) candidate,
 // and rebuilding a map that immediately regrows to thousands of
 // entries was a measurable share of recursive-plan allocation. Maps
@@ -175,17 +175,16 @@ type recKey struct {
 // same-shaped plans stops allocating after the first few.
 var recSeenPool sync.Pool
 
-// evalRec runs the product reachability. step evaluates one σ path at a
-// context set — the sequential and indexed evaluators pass their own
-// recursive entry points, so σ edges inherit the caller's cancellation
-// and index behavior (each step call ticks at least once, bounding the
-// work between cancellation polls by one σ evaluation).
+// rec runs the product reachability on the slice walk. σ edges
+// evaluate through e.path, so they inherit the walk's cancellation (each
+// step call ticks at least once, bounding the work between cancellation
+// polls by one σ evaluation).
 //
 // Note the bitset evaluator does not pass through here: on compacted
 // documents Rec evaluates over per-state bitset rows instead
 // (bitEval.evalRec), and this map-based form serves the remaining
 // slice-path inputs.
-func evalRec(p Rec, ctx []*xmltree.Node, step func(Path, []*xmltree.Node) ([]*xmltree.Node, error)) ([]*xmltree.Node, error) {
+func (e *seqEval) rec(p Rec, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 	if p.G == nil || len(ctx) == 0 {
 		return nil, nil
 	}
@@ -222,7 +221,7 @@ func evalRec(p Rec, ctx []*xmltree.Node, step func(Path, []*xmltree.Node) ([]*xm
 				out = append(out, nodes...)
 			}
 			for _, edge := range p.G.edges[s] {
-				hit, err := step(edge.Sig, nodes)
+				hit, err := e.path(edge.Sig, nodes)
 				if err != nil {
 					return nil, err
 				}

@@ -35,7 +35,7 @@ func recBenchPlan() Rec {
 }
 
 // BenchmarkRecEval is the allocation regression benchmark for the
-// recursive-view product evaluation: the map leg exercises evalRec's
+// recursive-view product evaluation: the map leg exercises seqEval.rec's
 // pooled, pre-sized visited map on a hand-built (uncompacted) tree, and
 // the bitset leg exercises bitEval.evalRec's per-state rows on the
 // compacted equivalent. Steady-state allocs/op on both legs must not

@@ -120,6 +120,11 @@ if grep '^sv_eval_total{' "$WORK/metrics.txt" | grep -qv 'repr='; then
 fi
 grep -q '^sv_eval_total{' "$WORK/metrics.txt" ||
     fail "/metricsz has no sv_eval_total series at all"
+# The eval modes are sequential, indexed and cached; any other mode
+# label means a deleted evaluator came back.
+if grep '^sv_eval_total{' "$WORK/metrics.txt" | grep -Ev 'mode="(sequential|indexed|cached)"' | grep -q .; then
+    fail "/metricsz sv_eval_total series with a mode outside {sequential, indexed, cached}"
+fi
 awk -F' ' '/^sv_eval_total\{.*repr="bitset"/ { sum += $2 } END { exit !(sum > 0) }' "$WORK/metrics.txt" ||
     fail '/metricsz sv_eval_total{repr="bitset"} not > 0 on a compacted document'
 # The fingerprint-registry gauges must be present (promcheck above

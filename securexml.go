@@ -64,15 +64,12 @@ type (
 	// Engine enforces one bound access policy end to end (Fig. 3), with
 	// a bounded plan cache in front of the rewrite+optimize stages.
 	Engine = core.Engine
-	// EngineConfig tunes an engine's serving layer: cache capacities and
-	// parallel evaluation.
+	// EngineConfig tunes an engine's serving layer: cache capacities,
+	// indexed evaluation, and the answer cache.
 	EngineConfig = core.Config
 	// EngineStats is a snapshot of an engine's query, cache, and
 	// evaluation counters.
 	EngineStats = core.Stats
-	// ParallelConfig tunes the parallel evaluator's worker pool and the
-	// sequential-fallback threshold.
-	ParallelConfig = xpath.ParallelConfig
 	// Registry manages the policies of multiple user classes over one
 	// document DTD, caching derived engines per parameter binding with
 	// LRU eviction.
@@ -127,7 +124,8 @@ func Validate(doc *Document, d *DTD) error { return xmltree.Validate(doc, d) }
 func NewEngine(spec *Spec) (*Engine, error) { return core.New(spec) }
 
 // NewEngineWithConfig is NewEngine with explicit serving-layer tuning:
-// plan/height cache capacities and parallel evaluation.
+// plan/height cache capacities, indexed evaluation, and the answer
+// cache.
 func NewEngineWithConfig(spec *Spec, cfg EngineConfig) (*Engine, error) {
 	return core.NewWithConfig(spec, cfg)
 }
