@@ -26,10 +26,12 @@ bench:
 # bitset path is an allocation-budget feature, and its regressions are
 # visible in allocs/op long before they show up in wall time. CI runs
 # this so a refactor cannot silently break the benchmark harness
-# between loadbench refreshes.
+# between loadbench refreshes. BenchmarkAnswerCacheLookup prices the
+# answer cache's containment proofs, so a regression in their
+# allocs/op shows here before it shows in servebench's zipf-contain.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkQualifiedScan' -benchmem -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkQualifiedScan|BenchmarkAnswerCacheLookup' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
 	$(GO) test -run xxx -bench 'BenchmarkWriteResult' -benchmem -benchtime 1x ./internal/serve
 

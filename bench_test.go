@@ -10,6 +10,7 @@ package securexml
 //	BenchmarkUnfold/...            Ablation D: recursive-view unfolding
 //	BenchmarkMaterializeVsRewrite  Ablation E: materialization vs rewriting
 //	BenchmarkAnnotate              naive baseline's per-policy deployment cost
+//	BenchmarkAnswerCacheLookup/... answer-cache proofs over prebuilt images
 //
 // cmd/svbench prints the Table 1 measurements in the paper's layout;
 // EXPERIMENTS.md records paper-reported vs measured values.
@@ -23,6 +24,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/anscache"
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/dtds"
@@ -651,6 +653,104 @@ func BenchmarkQualifiedScan(b *testing.B) {
 				b.Fatalf("%s: %d nodes, want %d, err %v", queries[j], len(out), want[j], err)
 			}
 		}
+	}
+}
+
+// ---------- answer-cache lookup: proofs over prebuilt images ----------
+
+// BenchmarkAnswerCacheLookup prices one answer-cache Lookup that scans
+// a full window of eight same-group candidates on the 10,254-node
+// hospital document, for the nurse class (ward 1). Every candidate was
+// cached the way the engine caches it (a missed Lookup, then Put), so
+// it carries its image, and the probe's match sits last in the scan:
+//
+//	miss         no candidate proves: the probe's and its base's images
+//	             are built, then compared against all eight
+//	equal-proof  the last candidate is the probe's union commuted, so
+//	             only the simulation can show them equal
+//	containment  the last candidate is the probe's base; its cached
+//	             patients are filtered by the trailing qualifier
+//
+// allocs/op is the figure to watch: before images were built once per
+// plan, the miss case rebuilt two image graphs per candidate pair.
+func BenchmarkAnswerCacheLookup(b *testing.B) {
+	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := core.New(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := optimize.New(spec.D)
+	doc := dtds.GenerateHospital(1, 48)
+	plan := func(q string) xpath.Path {
+		prep, err := e.PrepareString(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return prep.Optimized
+	}
+	ctx := context.Background()
+	// fill caches last, then the seven fillers, each through a missed
+	// Lookup whose image goes to the Put; last ends up eighth in the
+	// most-recently-used scan.
+	var fillers []xpath.Path
+	for _, q := range []string{"//wardNo", "//name", "//patient/name", "//bill",
+		"//medication", "//staff/nurse/name", "//patient/treatment"} {
+		fillers = append(fillers, plan(q))
+	}
+	fill := func(last xpath.Path) *anscache.Cache {
+		c := anscache.New(256)
+		for _, p := range append([]xpath.Path{last}, fillers...) {
+			text := xpath.String(p)
+			_, kind, img, err := c.Lookup(ctx, "g", text, p, opt)
+			if err != nil || kind != anscache.KindMiss {
+				b.Fatalf("filling %s: kind %v, err %v", text, kind, err)
+			}
+			nodes, err := xpath.EvalDocErr(p, doc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Put("g", text, p, img, nodes)
+		}
+		if c.Len() != 1+len(fillers) {
+			b.Fatalf("cache holds %d entries, want %d distinct", c.Len(), 1+len(fillers))
+		}
+		return c
+	}
+	bill, med := plan("//patient/treatment//bill"), plan("//patient/treatment//medication")
+	cases := []struct {
+		name        string
+		cached, got xpath.Path
+		want        anscache.Kind
+	}{
+		{"miss", plan("//staff"), plan("//patient[.//medication]"), anscache.KindMiss},
+		{"equal-proof", xpath.Union{Left: bill, Right: med}, xpath.Union{Left: med, Right: bill}, anscache.KindEqual},
+		{"containment", plan("//patient"), plan("//patient[.//medication]"), anscache.KindContainment},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			c := fill(tc.cached)
+			text := xpath.String(tc.got)
+			if text == xpath.String(tc.cached) {
+				b.Fatalf("probe %s is the cached text; the case would be an exact-key hit", text)
+			}
+			// The first entry's miss had no candidate to compare, so it
+			// was Put without an image; one untimed Lookup builds it.
+			if _, _, _, err := c.Lookup(ctx, "g", text, tc.got, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(doc.Size()), "docnodes")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, kind, _, err := c.Lookup(ctx, "g", text, tc.got, opt)
+				if err != nil || kind != tc.want {
+					b.Fatalf("%s: kind %v, want %v, err %v", text, kind, tc.want, err)
+				}
+			}
+		})
 	}
 }
 

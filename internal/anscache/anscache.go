@@ -1,8 +1,8 @@
 // Package anscache is the serving layer's semantic answer cache: a
 // bounded, sharded cache from (engine epoch, document, optimized plan)
 // to the plan's result node-set. It repurposes the Section 5 containment
-// machinery (optimize.Contains/Equivalent over image graphs, Prop. 5.1)
-// as a cache-admission proof, in the spirit of view-based query
+// machinery (image graphs compared by simulation, Prop. 5.1) as a
+// cache-admission proof, in the spirit of view-based query
 // answering: a cached answer is served only when the incoming plan is
 // provably the same query (equal hit) or provably a qualifier-filtered
 // restriction of it (containment hit). The test is sound and one-sided,
@@ -17,9 +17,17 @@
 //   - Containment hit: the incoming plan is base[q1]...[qk] — a chain of
 //     trailing qualifiers over a base the prover shows equivalent to a
 //     cached plan. Every node of the cached answer is exactly the base's
-//     answer, so filtering it by the qualifiers (xpath.EvalQualCtx per
-//     node) yields the incoming plan's answer without touching the rest
-//     of the document.
+//     answer, so filtering it by the qualifiers (one evaluation of
+//     .[q1]...[qk] at the cached nodes) yields the incoming plan's answer
+//     without touching the rest of the document.
+//
+// Proofs compare prebuilt image graphs. Each entry keeps the image of
+// its plan: a missed Lookup returns the plan's image if it built one,
+// and the caller hands it to the Put that caches the answer. A Lookup
+// builds the incoming plan's image and its base's at most once each,
+// and only when the exact key and syntactic equality have not already
+// decided a candidate. Building an image takes the optimizer's lock;
+// comparing two does not.
 //
 // Staleness is handled by construction, not by invalidation protocol:
 // the group key embeds the owning engine's epoch and the document's
@@ -34,15 +42,18 @@ import (
 	"sync/atomic"
 
 	"repro/internal/nodeset"
+	"repro/internal/optimize"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// Prover is the containment oracle: Equivalent must be sound (true only
-// when the two plans select the same nodes on every instance of the
-// DTD). optimize.Optimizer satisfies it.
+// Prover is the containment oracle: Image builds a plan's image once,
+// and ContainsImage must be sound (true only when every node the first
+// image's plan selects, the second's also selects, on every instance
+// of the DTD). optimize.Optimizer satisfies it.
 type Prover interface {
-	Equivalent(p1, p2 xpath.Path) bool
+	Image(p xpath.Path) *optimize.Image
+	ContainsImage(g1, g2 *optimize.Image) bool
 }
 
 // Kind classifies a Lookup outcome.
@@ -75,9 +86,9 @@ const (
 	// power of two so the group hash can be masked.
 	defaultShards = 8
 	// scanLimit bounds the same-group candidates a single Lookup may run
-	// the prover against after an exact-key miss. Containment proofs are
-	// pure CPU (no locks held), but each costs an image construction, so
-	// the scan examines only the most recently used candidates.
+	// the prover against after an exact-key miss. Images are prebuilt,
+	// but each comparison is still a graph simulation, so the scan
+	// examines only the most recently used candidates.
 	scanLimit = 8
 	// maxNodes bounds the result size a single entry may pin. Larger
 	// answers are not cached: they are cheap to recompute relative to
@@ -116,15 +127,32 @@ type shard struct {
 // pointer-slice form (nodes). Sets here are always unpooled clones:
 // entries outlive evaluations, so they must never re-enter the
 // evaluator's scratch pool.
+//
+// img is the plan's image: the one the missed Lookup built and Put was
+// given, else the replaced entry's, else built by the first Lookup that
+// compares against the entry. Either way it is built once per entry,
+// unless two Lookups race to build it; both store equal images.
 type entry struct {
 	key   string // group + "\x00" + text
 	group string
 	text  string
 	plan  xpath.Path
+	img   atomic.Pointer[optimize.Image]
 	nodes []*xmltree.Node // slice form; nil when set != nil
 	set   *nodeset.Set    // ordinal form over doc's arena
 	doc   *xmltree.Document
 	gen   uint64 // doc.Generation() at Put time
+}
+
+// image returns the entry's plan image, building and keeping it on
+// first use.
+func (en *entry) image(prover Prover) *optimize.Image {
+	if g := en.img.Load(); g != nil {
+		return g
+	}
+	g := prover.Image(en.plan)
+	en.img.Store(g)
+	return g
 }
 
 // fresh reports whether an ordinal entry's bitset still describes the
@@ -184,11 +212,13 @@ func (c *Cache) shardFor(group string) *shard {
 // bit of context the answer depends on beyond the plan itself — the
 // owning engine's epoch and the document identity. text is the printed
 // plan (the exact-match key). On a hit the returned slice is a fresh
-// copy the caller owns. An error is only returned when qualifier
-// re-evaluation on a containment hit fails (context cancellation);
-// the entry is then left untouched and the caller should abort, not
-// fall back to evaluation.
-func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path, prover Prover) ([]*xmltree.Node, Kind, error) {
+// copy the caller owns. On a miss the returned image is the plan's, or
+// nil when the scan never needed it; pass it to the Put that caches the
+// evaluated answer. An error is only returned when qualifier
+// re-evaluation on a containment hit fails (context cancellation); the
+// entry is then left untouched and the caller should abort, not fall
+// back to evaluation.
+func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path, prover Prover) ([]*xmltree.Node, Kind, *optimize.Image, error) {
 	s := c.shardFor(group)
 	key := group + "\x00" + text
 
@@ -199,14 +229,15 @@ func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path,
 			nodes := en.answer()
 			s.mu.Unlock()
 			c.hits.Add(1)
-			return nodes, KindEqual, nil
+			return nodes, KindEqual, nil, nil
 		}
 		// A stale ordinal entry (document renumbered since Put) must not
 		// be served; fall through to the miss path.
 	}
 	// Exact key missed; snapshot the most recently used same-group
 	// candidates so the containment proofs run without the lock held.
-	// Entries are immutable once inserted, so the refs stay valid.
+	// Entries are immutable once inserted (their image only ever goes
+	// from nil to the plan's, atomically), so the refs stay valid.
 	var cands []*entry
 	for el := s.order.Front(); el != nil && len(cands) < scanLimit; el = el.Next() {
 		if en := el.Value.(*entry); en.group == group && en.fresh() {
@@ -216,63 +247,72 @@ func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path,
 	s.mu.Unlock()
 
 	base, quals := splitQuals(plan)
+	var img, baseImg *optimize.Image
 	for _, cand := range cands {
-		if prover.Equivalent(plan, cand.plan) {
+		if xpath.Equal(plan, cand.plan) {
 			c.hits.Add(1)
-			return cand.answer(), KindEqual, nil
+			return cand.answer(), KindEqual, nil, nil
 		}
-		if len(quals) == 0 || !prover.Equivalent(base, cand.plan) {
+		if img == nil {
+			img = prover.Image(plan)
+		}
+		candImg := cand.image(prover)
+		if equivalent(prover, img, candImg) {
+			c.hits.Add(1)
+			return cand.answer(), KindEqual, nil, nil
+		}
+		if len(quals) == 0 {
 			continue
 		}
+		if !xpath.Equal(base, cand.plan) {
+			if baseImg == nil {
+				baseImg = prover.Image(base)
+			}
+			if !equivalent(prover, baseImg, candImg) {
+				continue
+			}
+		}
 		// cand's answer is exactly base's answer; the incoming plan keeps
-		// the nodes satisfying every trailing qualifier. A no-survivor
+		// the nodes satisfying every trailing qualifier, selected by one
+		// evaluation of .[q1]...[qk] at the cached nodes. A no-survivor
 		// filter returns nil, matching what the evaluator reports for an
-		// empty result. Ordinal entries filter straight off the bitset —
-		// ascending ordinal iteration is document order, so no slice is
-		// materialized for the candidates that do not survive.
+		// empty result.
 		var out []*xmltree.Node
-		var qerr error
-		filter := func(n *xmltree.Node) bool {
+		if nodes := cand.answer(); len(nodes) > 0 {
+			filter := xpath.Path(xpath.Self{})
 			for _, q := range quals {
-				ok, err := xpath.EvalQualCtx(ctx, q, n)
-				if err != nil {
-					qerr = err
-					return false
-				}
-				if !ok {
-					return true
-				}
+				filter = xpath.Qualified{Sub: filter, Cond: q}
 			}
-			out = append(out, n)
-			return true
-		}
-		if cand.set != nil {
-			byOrd := cand.doc.Nodes()
-			cand.set.ForEachUntil(func(ord int) bool { return filter(byOrd[ord]) })
-		} else {
-			for _, n := range cand.nodes {
-				if !filter(n) {
-					break
-				}
+			var err error
+			if out, err = xpath.EvalAtCtx(ctx, filter, nodes); err != nil {
+				return nil, KindMiss, nil, err
 			}
-		}
-		if qerr != nil {
-			return nil, KindMiss, qerr
+			if len(out) == 0 {
+				out = nil
+			}
 		}
 		c.containmentHits.Add(1)
-		return out, KindContainment, nil
+		return out, KindContainment, nil, nil
 	}
 	c.misses.Add(1)
-	return nil, KindMiss, nil
+	return nil, KindMiss, img, nil
 }
 
-// Put caches an evaluated answer. Oversized results are dropped (see
+// equivalent is mutual containment of two prebuilt images.
+func equivalent(prover Prover, g1, g2 *optimize.Image) bool {
+	return prover.ContainsImage(g1, g2) && prover.ContainsImage(g2, g1)
+}
+
+// Put caches an evaluated answer. img is the plan's image as returned
+// by the Lookup that missed, or nil; with nil, the entry keeps the image
+// of the entry it replaces, if any, and otherwise builds one when a
+// Lookup first compares against it. Oversized results are dropped (see
 // maxNodes). Answers over one compacted document are stored as an
 // ordinal bitset stamped with the document's generation; anything else
 // copies the nodes slice. Either way the entry shares the document's
 // nodes, which the group key pins logically (an epoch bump abandons
 // the group) — callers purge on epoch bumps to reclaim the memory too.
-func (c *Cache) Put(group, text string, plan xpath.Path, nodes []*xmltree.Node) {
+func (c *Cache) Put(group, text string, plan xpath.Path, img *optimize.Image, nodes []*xmltree.Node) {
 	if len(nodes) > maxNodes {
 		return
 	}
@@ -288,10 +328,15 @@ func (c *Cache) Put(group, text string, plan xpath.Path, nodes []*xmltree.Node) 
 	} else {
 		en.nodes = copyNodes(nodes)
 	}
+	en.img.Store(img)
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
 		// Replace wholesale: entries are immutable, so concurrent Lookups
-		// holding the old entry keep a consistent snapshot.
+		// holding the old entry keep a consistent snapshot. Same key,
+		// same plan text, so the old entry's image is this plan's too.
+		if img == nil {
+			en.img.Store(el.Value.(*entry).img.Load())
+		}
 		el.Value = en
 		s.order.MoveToFront(el)
 		s.mu.Unlock()

@@ -3,6 +3,7 @@ package anscache
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/dtds"
@@ -12,10 +13,12 @@ import (
 	"repro/internal/xpath"
 )
 
-// neverProver refuses every proof, so only exact-key hits can happen.
+// neverProver refuses every proof, so only exact-key and syntactically
+// equal hits can happen.
 type neverProver struct{}
 
-func (neverProver) Equivalent(p1, p2 xpath.Path) bool { return false }
+func (neverProver) Image(xpath.Path) *optimize.Image          { return nil }
+func (neverProver) ContainsImage(g1, g2 *optimize.Image) bool { return false }
 
 func hospitalDoc(t *testing.T) *xmltree.Document {
 	t.Helper()
@@ -24,7 +27,7 @@ func hospitalDoc(t *testing.T) *xmltree.Document {
 
 func lookupMust(t *testing.T, c *Cache, group string, p xpath.Path, prover Prover) ([]*xmltree.Node, Kind) {
 	t.Helper()
-	nodes, kind, err := c.Lookup(context.Background(), group, xpath.String(p), p, prover)
+	nodes, kind, _, err := c.Lookup(context.Background(), group, xpath.String(p), p, prover)
 	if err != nil {
 		t.Fatalf("Lookup(%s): %v", xpath.String(p), err)
 	}
@@ -42,7 +45,7 @@ func TestExactEqualHit(t *testing.T) {
 	if _, kind := lookupMust(t, c, "g1", p, neverProver{}); kind != KindMiss {
 		t.Fatalf("empty cache returned %v", kind)
 	}
-	c.Put("g1", xpath.String(p), p, want)
+	c.Put("g1", xpath.String(p), p, nil, want)
 	got, kind := lookupMust(t, c, "g1", p, neverProver{})
 	if kind != KindEqual {
 		t.Fatalf("kind = %v, want equal", kind)
@@ -70,7 +73,7 @@ func TestEquivalenceEqualHit(t *testing.T) {
 	doc := hospitalDoc(t)
 	prover := optimize.New(dtds.Hospital())
 	cached := xpath.MustParse("dept | //bill")
-	c.Put("g", xpath.String(cached), cached, xpath.EvalDoc(cached, doc))
+	c.Put("g", xpath.String(cached), cached, nil, xpath.EvalDoc(cached, doc))
 	// Same query written differently: commuted union.
 	q := xpath.MustParse("//bill | dept")
 	got, kind := lookupMust(t, c, "g", q, prover)
@@ -92,7 +95,7 @@ func TestContainmentHit(t *testing.T) {
 	prover := optimize.New(dtds.Hospital())
 	base := xpath.MustParse("//patient")
 	baseNodes := xpath.EvalDoc(base, doc)
-	c.Put("g", xpath.String(base), base, baseNodes)
+	c.Put("g", xpath.String(base), base, nil, baseNodes)
 
 	q := xpath.Qualified{Sub: base, Cond: xpath.MustParseQual(".//trial")}
 	got, kind := lookupMust(t, c, "g", q, prover)
@@ -126,7 +129,7 @@ func TestNonContainedNeverHits(t *testing.T) {
 	prover := optimize.New(dtds.Hospital())
 	for _, q := range []string{"//patient", "//bill", "dept", "//staff/nurse"} {
 		p := xpath.MustParse(q)
-		c.Put("g", q, p, xpath.EvalDoc(p, doc))
+		c.Put("g", q, p, nil, xpath.EvalDoc(p, doc))
 	}
 	// //name is contained in none of the cached queries (and contains
 	// several of them, which must NOT produce a hit — direction matters).
@@ -140,7 +143,7 @@ func TestEvictionAndBound(t *testing.T) {
 	c := New(4)
 	p := xpath.MustParse("dept")
 	for i := 0; i < 20; i++ {
-		c.Put("g", fmt.Sprintf("q%d", i), p, nil)
+		c.Put("g", fmt.Sprintf("q%d", i), p, nil, nil)
 	}
 	if n := c.Len(); n > 4+len(c.shards)-1 {
 		t.Errorf("Len = %d exceeds bound", n)
@@ -153,7 +156,7 @@ func TestEvictionAndBound(t *testing.T) {
 func TestPurge(t *testing.T) {
 	c := New(8)
 	p := xpath.MustParse("dept")
-	c.Put("g", "dept", p, nil)
+	c.Put("g", "dept", p, nil, nil)
 	c.Purge()
 	if c.Len() != 0 {
 		t.Errorf("Len after Purge = %d", c.Len())
@@ -167,7 +170,7 @@ func TestOversizedResultNotCached(t *testing.T) {
 	c := New(8)
 	p := xpath.MustParse("dept")
 	big := make([]*xmltree.Node, maxNodes+1)
-	c.Put("g", "dept", p, big)
+	c.Put("g", "dept", p, nil, big)
 	if c.Len() != 0 {
 		t.Errorf("oversized result was cached")
 	}
@@ -183,7 +186,7 @@ func TestHitReturnsPrivateCopy(t *testing.T) {
 	if len(nodes) < 2 {
 		t.Fatalf("need at least 2 patients")
 	}
-	c.Put("g", xpath.String(p), p, nodes)
+	c.Put("g", xpath.String(p), p, nil, nodes)
 	got1, _ := lookupMust(t, c, "g", p, neverProver{})
 	got1[0] = got1[1] // caller scribbles on its slice
 	got2, _ := lookupMust(t, c, "g", p, neverProver{})
@@ -197,11 +200,11 @@ func TestContainmentHonorsCancellation(t *testing.T) {
 	doc := hospitalDoc(t)
 	prover := optimize.New(dtds.Hospital())
 	base := xpath.MustParse("//patient")
-	c.Put("g", xpath.String(base), base, xpath.EvalDoc(base, doc))
+	c.Put("g", xpath.String(base), base, nil, xpath.EvalDoc(base, doc))
 	q := xpath.Qualified{Sub: base, Cond: xpath.MustParseQual(".//trial")}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Lookup(ctx, "g", xpath.String(q), q, prover); err == nil {
+	if _, _, _, err := c.Lookup(ctx, "g", xpath.String(q), q, prover); err == nil {
 		t.Errorf("cancelled containment lookup returned no error")
 	}
 }
@@ -234,7 +237,7 @@ func TestOrdinalEntryStorage(t *testing.T) {
 	}
 	p := xpath.MustParse("//patient")
 	want := xpath.EvalDoc(p, doc)
-	c.Put("g", xpath.String(p), p, want)
+	c.Put("g", xpath.String(p), p, nil, want)
 
 	sh := c.shardFor("g")
 	sh.mu.Lock()
@@ -272,7 +275,7 @@ func TestOrdinalEntryStaleAfterRenumber(t *testing.T) {
 	doc := hospitalDoc(t)
 	prover := optimize.New(dtds.Hospital())
 	cached := xpath.MustParse("dept | //bill")
-	c.Put("g", xpath.String(cached), cached, xpath.EvalDoc(cached, doc))
+	c.Put("g", xpath.String(cached), cached, nil, xpath.EvalDoc(cached, doc))
 	if _, kind := lookupMust(t, c, "g", cached, neverProver{}); kind != KindEqual {
 		t.Fatal("warm entry does not hit before the mutation")
 	}
@@ -293,7 +296,7 @@ func TestOrdinalEntryStaleAfterRenumber(t *testing.T) {
 
 	// Re-populating against the new numbering works immediately.
 	fresh := xpath.EvalDoc(cached, doc)
-	c.Put("g", xpath.String(cached), cached, fresh)
+	c.Put("g", xpath.String(cached), cached, nil, fresh)
 	got, kind := lookupMust(t, c, "g", cached, neverProver{})
 	if kind != KindEqual || len(got) != len(fresh) {
 		t.Fatalf("re-put entry: kind=%v n=%d want %d", kind, len(got), len(fresh))
@@ -308,11 +311,138 @@ func TestOrdinalEntryStaleAfterCompact(t *testing.T) {
 	c := New(8)
 	doc := hospitalDoc(t)
 	p := xpath.MustParse("//patient")
-	c.Put("g", xpath.String(p), p, xpath.EvalDoc(p, doc))
+	c.Put("g", xpath.String(p), p, nil, xpath.EvalDoc(p, doc))
 
 	doc.Compact() // arena swap: new node identities, new generation
 
 	if _, kind := lookupMust(t, c, "g", p, neverProver{}); kind != KindMiss {
 		t.Fatal("ordinal entry survived an arena swap")
 	}
+}
+
+// countingProver counts image constructions, the cost the cache keeps
+// off its per-candidate path.
+type countingProver struct {
+	*optimize.Optimizer
+	images int
+}
+
+func (p *countingProver) Image(q xpath.Path) *optimize.Image {
+	p.images++
+	return p.Optimizer.Image(q)
+}
+
+// missMust looks p up, requires a miss, and returns the plan image the
+// Lookup hands to Put.
+func missMust(t *testing.T, c *Cache, p xpath.Path, prover Prover) *optimize.Image {
+	t.Helper()
+	_, kind, img, err := c.Lookup(context.Background(), "g", xpath.String(p), p, prover)
+	if err != nil || kind != KindMiss {
+		t.Fatalf("Lookup(%s): kind = %v, err = %v, want a miss", xpath.String(p), kind, err)
+	}
+	return img
+}
+
+// TestImagesBuiltOncePerPlan pins the build-once contract: a miss
+// returns the plan image it built and Put keeps it on the entry, so a
+// miss that compares against a full scan of candidates builds only the
+// incoming plan's and its base's images, the Put that follows builds
+// none, an exact-key hit builds none, and a re-Put of the same key
+// without an image keeps the old entry's.
+func TestImagesBuiltOncePerPlan(t *testing.T) {
+	c := New(64)
+	doc := hospitalDoc(t)
+	prover := &countingProver{Optimizer: optimize.New(dtds.Hospital())}
+	cached := []string{"//bill", "//medication", "dept", "//staff/nurse",
+		"//staff/doctor", "//patient/name", "//wardNo", "//trial"}
+	for _, q := range cached {
+		p := xpath.MustParse(q)
+		img := missMust(t, c, p, prover)
+		c.Put("g", xpath.String(p), p, img, xpath.EvalDoc(p, doc))
+	}
+	// The first miss had no candidate, so it built nothing and its entry
+	// built its own image when the second miss compared against it.
+	if n := prover.images; n != len(cached) {
+		t.Errorf("populating %d entries built %d images, want one each", len(cached), n)
+	}
+
+	// A trailing qualifier, so the scan compares both the plan and its
+	// base //patient against every candidate.
+	q := xpath.MustParse("(//patient)[.//trial]")
+	if _, quals := splitQuals(q); len(quals) != 1 {
+		t.Fatalf("%s has %d trailing qualifiers, want 1", xpath.String(q), len(quals))
+	}
+	prover.images = 0
+	img := missMust(t, c, q, prover)
+	if prover.images > 2 {
+		t.Errorf("a miss scanning %d candidates built %d images, want at most 2", scanLimit, prover.images)
+	}
+	if img == nil {
+		t.Fatalf("a miss that compared candidates returned no image")
+	}
+	prover.images = 0
+	c.Put("g", xpath.String(q), q, img, xpath.EvalDoc(q, doc))
+	if prover.images != 0 {
+		t.Errorf("the Put after a miss built %d images, want 0", prover.images)
+	}
+	if _, kind := lookupMust(t, c, "g", q, prover); kind != KindEqual {
+		t.Fatalf("kind = %v, want equal", kind)
+	}
+	if prover.images != 0 {
+		t.Errorf("an exact-key hit built %d images, want 0", prover.images)
+	}
+	// Replacing the entry without an image keeps the one it had.
+	c.Put("g", xpath.String(q), q, nil, xpath.EvalDoc(q, doc))
+
+	// Every entry holds its image, the replaced one included: a miss on
+	// a plan without trailing qualifiers builds only its own.
+	prover.images = 0
+	missMust(t, c, xpath.MustParse("//patient[name]"), prover)
+	if prover.images != 1 {
+		t.Errorf("a miss on a plan without trailing qualifiers built %d images, want 1", prover.images)
+	}
+}
+
+// TestConcurrentProofs races Lookups and Puts over one group under
+// -race: candidate images are set once per entry (some lazily, since
+// half the entries are Put without a prior Lookup, the rest from their
+// miss), while every answer stays the evaluator's.
+func TestConcurrentProofs(t *testing.T) {
+	c := New(32)
+	doc := hospitalDoc(t)
+	prover := optimize.New(dtds.Hospital())
+	queries := []string{"//patient", "//patient[.//trial]", "dept | //bill", "//bill | dept",
+		"//medication", "//patient[name]", "//staff/nurse", "//trial"}
+	plans := make([]xpath.Path, len(queries))
+	want := make([][]*xmltree.Node, len(queries))
+	for i, q := range queries {
+		plans[i] = xpath.MustParse(q)
+		want[i] = xpath.EvalDoc(plans[i], doc)
+		if i%2 == 0 {
+			c.Put("g", xpath.String(plans[i]), plans[i], nil, want[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(plans)
+				got, kind, img, err := c.Lookup(context.Background(), "g", xpath.String(plans[i]), plans[i], prover)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if kind == KindMiss {
+					c.Put("g", xpath.String(plans[i]), plans[i], img, want[i])
+					continue
+				}
+				if len(got) != len(want[i]) {
+					t.Errorf("%s (%v): %d nodes, want %d", queries[i], kind, len(got), len(want[i]))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

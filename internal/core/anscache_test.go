@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/dtds"
 	"repro/internal/obs"
+	"repro/internal/optimize"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -162,6 +163,152 @@ func TestAnswerCacheDifferential(t *testing.T) {
 		t.Errorf("differential sweep produced no containment hits — the filtered path never engaged")
 	}
 	t.Logf("%d triples, %d equal hits, %d containment hits", triples, hits, containmentHits)
+}
+
+// refAnswerCache is the reference lookup for the proof-parity test: the
+// answer cache as it ran before entries kept prebuilt images. Every
+// (incoming, candidate) pair is re-proved from scratch with
+// Optimizer.Equivalent, and containment hits filter the cached answer
+// node by node with EvalQualErr. It mirrors the real cache's candidate
+// choice — per-group most-recently-used order, exact hits moving to the
+// front, at most refScanLimit candidates — and assumes nothing is
+// evicted, which the test checks.
+type refAnswerCache struct {
+	opt    *optimize.Optimizer
+	groups map[string][]*refEntry // front = most recently used
+}
+
+type refEntry struct {
+	text  string
+	plan  xpath.Path
+	nodes []*xmltree.Node
+}
+
+const refScanLimit = 8
+
+func (r *refAnswerCache) lookup(group, text string, plan xpath.Path) ([]*xmltree.Node, string, error) {
+	es := r.groups[group]
+	for i, en := range es {
+		if en.text == text {
+			copy(es[1:i+1], es[:i])
+			es[0] = en
+			return en.nodes, "equal", nil
+		}
+	}
+	base, quals := refSplitQuals(plan)
+	for _, cand := range es[:min(len(es), refScanLimit)] {
+		if r.opt.Equivalent(plan, cand.plan) {
+			return cand.nodes, "equal", nil
+		}
+		if len(quals) == 0 || !r.opt.Equivalent(base, cand.plan) {
+			continue
+		}
+		var out []*xmltree.Node
+		for _, n := range cand.nodes {
+			keep := true
+			for _, q := range quals {
+				ok, err := xpath.EvalQualErr(q, n)
+				if err != nil {
+					return nil, "", err
+				}
+				keep = keep && ok
+			}
+			if keep {
+				out = append(out, n)
+			}
+		}
+		return out, "containment", nil
+	}
+	return nil, "miss", nil
+}
+
+func (r *refAnswerCache) put(group, text string, plan xpath.Path, nodes []*xmltree.Node) {
+	es := r.groups[group]
+	for i, en := range es {
+		if en.text == text {
+			es = append(es[:i], es[i+1:]...)
+			break
+		}
+	}
+	r.groups[group] = append([]*refEntry{{text: text, plan: plan, nodes: nodes}}, es...)
+}
+
+// refSplitQuals peels the trailing qualifiers of a plan the way the
+// answer cache does: Qualified wrappers, and a Seq's qualified last
+// step.
+func refSplitQuals(p xpath.Path) (xpath.Path, []xpath.Qual) {
+	switch p := p.(type) {
+	case xpath.Qualified:
+		base, quals := refSplitQuals(p.Sub)
+		return base, append(quals, p.Cond)
+	case xpath.Seq:
+		base, quals := refSplitQuals(p.Right)
+		if len(quals) == 0 {
+			return p, nil
+		}
+		return xpath.Seq{Left: p.Left, Right: base}, quals
+	}
+	return p, nil
+}
+
+// TestAnswerCacheProofParity runs the hospital population of
+// TestAnswerCacheDifferential through the answer cache and through
+// refAnswerCache side by side: every probe must get the same hit kind
+// and the same nodes from both, so building images once changes what a
+// lookup costs but never what it proves.
+func TestAnswerCacheProofParity(t *testing.T) {
+	ctx := context.Background()
+	var probes int
+	kinds := map[string]int{}
+	for _, ward := range []string{"1", "2", "3"} {
+		on, off := nurseEngines(t, ward)
+		ref := &refAnswerCache{opt: on.opt, groups: map[string][]*refEntry{}}
+		for seed := int64(0); seed < 4; seed++ {
+			doc := genHospital(seed)
+			group := on.docGroup(doc)
+			for _, q := range nurseViewQueries {
+				p := xpath.MustParse(q)
+				want, err := off.Query(doc, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prep, err := on.prepared(ctx, p, doc.Height())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pass := 0; pass < 2; pass++ {
+					probes++
+					refNodes, refKind, err := ref.lookup(group, prep.optText(), prep.Optimized)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if refKind == "miss" {
+						refNodes = want
+						ref.put(group, prep.optText(), prep.Optimized, want)
+					}
+					qm := &obs.QueryMetrics{}
+					got, err := on.QueryCtx(obs.WithQueryMetrics(ctx, qm), doc, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kinds[qm.AnswerCacheHit]++
+					if qm.AnswerCacheHit != refKind {
+						t.Errorf("ward %s seed %d %q pass %d: kind %q, reference %q", ward, seed, q, pass, qm.AnswerCacheHit, refKind)
+					}
+					if !reflect.DeepEqual(got, refNodes) {
+						t.Errorf("ward %s seed %d %q pass %d: %d nodes, reference %d", ward, seed, q, pass, len(got), len(refNodes))
+					}
+				}
+			}
+		}
+		if ev := on.Stats().AnswerCache.Evictions; ev != 0 {
+			t.Fatalf("ward %s: %d evictions; the reference assumes none", ward, ev)
+		}
+	}
+	if kinds["equal"] == 0 || kinds["containment"] == 0 || kinds["miss"] == 0 {
+		t.Errorf("population did not exercise every kind: %v", kinds)
+	}
+	t.Logf("%d probes: %v", probes, kinds)
 }
 
 // TestAnswerCacheEqualHitLeg pins the equal-hit path: the second

@@ -427,9 +427,10 @@ func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Pa
 		qm.PlanText = prep.optText()
 	}
 	var group, planText string
+	var img *optimize.Image // the plan's image from a missed lookup, for Put
 	if e.answers != nil {
 		group, planText = e.docGroup(doc), prep.optText()
-		out, kind, err := e.answers.Lookup(ctx, group, planText, prep.Optimized, e.opt)
+		out, kind, planImg, err := e.answers.Lookup(ctx, group, planText, prep.Optimized, e.opt)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				e.cancelled.Add(1)
@@ -447,6 +448,7 @@ func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Pa
 			}
 			return out, nil
 		}
+		img = planImg
 	}
 	out, err := e.evalPrepared(ctx, prep, doc)
 	if err != nil {
@@ -456,7 +458,7 @@ func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Pa
 		return out, err
 	}
 	if e.answers != nil {
-		e.answers.Put(group, planText, prep.Optimized, out)
+		e.answers.Put(group, planText, prep.Optimized, img, out)
 	}
 	return out, nil
 }
@@ -655,11 +657,13 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	ex.OptimizedSize = xpath.Size(po)
 	prep := &Prepared{Source: p, Rewritten: pt, Optimized: po, optimizedText: ex.Optimized}
 	e.plans.Put(key, prep)
+	var img *optimize.Image
 	if e.answers != nil {
 		// Probe the answer cache for the report, then evaluate fresh
 		// anyway: explain's contract is measured phases.
-		if _, kind, lerr := e.answers.Lookup(ctx, e.docGroup(doc), prep.optText(), prep.Optimized, e.opt); lerr == nil {
+		if _, kind, planImg, lerr := e.answers.Lookup(ctx, e.docGroup(doc), prep.optText(), prep.Optimized, e.opt); lerr == nil {
 			ex.AnswerCacheHit = kind.String()
+			img = planImg
 		}
 	}
 	// Evaluate with a private carrier so the mode and work counters for
@@ -675,7 +679,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	}
 	ex.EvalNs = time.Since(start).Nanoseconds()
 	if e.answers != nil {
-		e.answers.Put(e.docGroup(doc), prep.optText(), prep.Optimized, out)
+		e.answers.Put(e.docGroup(doc), prep.optText(), prep.Optimized, img, out)
 	}
 	ex.EvalMode = qm.EvalMode
 	ex.NodesVisited = qm.NodesVisited

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/dtd"
@@ -146,4 +147,42 @@ func TestContainsSoundOnDocuments(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestImageContainsConcurrent: images are immutable once built, so
+// ContainsImage may compare shared images from many goroutines while
+// others build new images and optimize queries under the lock. Run
+// under -race; every goroutine must also reach the verdicts Contains
+// reaches serially.
+func TestImageContainsConcurrent(t *testing.T) {
+	o := New(dtds.Hospital())
+	queries := []string{"dept", "*", "//patient/name", "//patient/*", "//patient[.//trial]",
+		"//patient", "//trial//bill", "//bill", "//dept//name", "//patientInfo//name"}
+	imgs := make([]*Image, len(queries))
+	want := make([][]bool, len(queries))
+	for i, q := range queries {
+		imgs[i] = o.Image(xpath.MustParse(q))
+	}
+	for i := range queries {
+		want[i] = make([]bool, len(queries))
+		for j := range queries {
+			want[i][j] = o.Contains(xpath.MustParse(queries[i]), xpath.MustParse(queries[j]))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range queries {
+				o.Optimize(xpath.MustParse(queries[(i+g)%len(queries)] + "[name]"))
+				for j := range queries {
+					if got := o.ContainsImage(imgs[i], imgs[j]); got != want[i][j] {
+						t.Errorf("ContainsImage(%s, %s) = %v, Contains says %v", queries[i], queries[j], got, want[i][j])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -97,6 +97,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestDeepQueryRejected: a 4.9M-deep parenthesized query (a 9.8 MB
+// POST body) used to overflow the parser's stack and end the process;
+// it is now a 400 like any other syntax error, and the server keeps
+// answering.
+func TestDeepQueryRejected(t *testing.T) {
+	s := newTestServer(t, Config{}, 3)
+	h := s.Handler()
+	const depth = 4_900_000
+	q := strings.Repeat("(", depth) + "patient" + strings.Repeat(")", depth)
+	form := url.Values{"class": {"nurse"}, "param": {"wardNo=1"}, "q": {q}}
+	req := httptest.NewRequest("POST", "/query", strings.NewReader(form.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %.200q)", w.Code, w.Body.String())
+	}
+	if w.Body.Len() > 1024 {
+		t.Errorf("error body is %d bytes; it should not echo the query", w.Body.Len())
+	}
+	if w := get(t, h, "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//patient/name")); w.Code != http.StatusOK {
+		t.Errorf("follow-up query: status = %d", w.Code)
+	}
+}
+
 // TestAdmissionControl: with MaxInFlight=2 and two requests pinned in
 // flight, a third is refused with 429 + Retry-After instead of queueing;
 // after the slots free up the server accepts work again.

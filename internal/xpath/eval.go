@@ -89,15 +89,6 @@ func evalNodes(ctx context.Context, p Path, nodes []*xmltree.Node, idx *Index) (
 	return xmltree.SortDocOrder(out), uint64(e.ticks), nil
 }
 
-// EvalQualCtx is EvalQualErr honoring a context; see EvalDocCtx.
-func EvalQualCtx(ctx context.Context, q Qual, v *xmltree.Node) (bool, error) {
-	e := newSeqEval(ctx)
-	if err := e.cancelled(); err != nil {
-		return false, err
-	}
-	return e.qual(q, v)
-}
-
 // tickMask sets the cooperative cancellation poll rate: one ctx.Done()
 // check per tickMask+1 ticks. Ticks fire once per path step and once per
 // node in the hot loops (descendant collection, qualifier filtering), so

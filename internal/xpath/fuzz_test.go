@@ -28,6 +28,9 @@ func FuzzParse(f *testing.F) {
 		"not(a)",
 		"a | | b",
 		"𝛆/weird-unicode",
+		// Steps named like qualifier keywords print parenthesized.
+		"a[(not)]",
+		"a[(true/x) = 1]",
 	} {
 		f.Add(seed)
 	}
@@ -57,6 +60,8 @@ func FuzzParseQual(f *testing.F) {
 		"@x = 'v'",
 		"true() and false()",
 		"a and",
+		"(not)",
+		"(false | x)[not(y)]",
 	} {
 		f.Add(seed)
 	}

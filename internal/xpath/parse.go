@@ -72,9 +72,59 @@ func MustParseQual(src string) Qual {
 	return q
 }
 
+// MaxDepth bounds how deeply a query may nest: parentheses, qualifiers
+// and not() each add a level, and so does every operand of a chain of
+// '/', '//', '|', 'and' or 'or' (the parser builds those chains
+// left-deep, so a chain of n operands is an AST n levels tall), and
+// every '[…]' stacked on one step. Parse and ParseQual reject deeper
+// queries with a ParseError, so no query text can exhaust the stack of
+// the parser or of the passes that later recurse over its AST.
+const MaxDepth = 1000
+
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // current nesting, see MaxDepth
+	// tooDeep is set once the query nests past MaxDepth. It is fatal:
+	// every later deeper() returns it, and parseQualAtom never
+	// backtracks over it.
+	tooDeep error
+	// memo holds the outcome of every parenthesized subexpression parsed
+	// since parseQualAtom first backtracked (see parseParenQual); nil
+	// until then, so queries that never backtrack pay nothing for it.
+	memo map[memoKey]memoResult
+}
+
+// memoKey names one parse of a parenthesized subexpression: the offset
+// of its '(', the nesting depth there (which decides whether MaxDepth
+// is hit inside), and whether parseQualAtom (qual) or parsePrimary
+// parsed it.
+type memoKey struct {
+	pos, depth int
+	qual       bool
+}
+
+// memoResult is what that parse returned and where it stopped.
+type memoResult struct {
+	path Path
+	qual Qual
+	end  int
+	err  error
+}
+
+// deeper adds one level of nesting and fails beyond MaxDepth. Every
+// function that calls it puts back the depth it started with before a
+// successful return, so sibling subexpressions do not accumulate; an
+// error ends the parse, except where parseQualAtom backtracks over a
+// syntax error, and it restores the depth along with the position.
+func (p *parser) deeper() error {
+	p.depth++
+	if p.depth > MaxDepth && p.tooDeep == nil {
+		// Unlike errf, the message does not quote the source: a query
+		// this deep is typically megabytes long.
+		p.tooDeep = &ParseError{msg: fmt.Sprintf("xpath: query nests deeper than %d levels (offset %d)", MaxDepth, p.pos)}
+	}
+	return p.tooDeep
 }
 
 func (p *parser) skipSpace() {
@@ -108,6 +158,7 @@ func (p *parser) errf(format string, args ...any) error {
 
 // parseUnion := parseSeq ('|' parseSeq)*
 func (p *parser) parseUnion() (Path, error) {
+	depth := p.depth
 	left, err := p.parseSeq()
 	if err != nil {
 		return nil, err
@@ -115,9 +166,13 @@ func (p *parser) parseUnion() (Path, error) {
 	for {
 		p.skipSpace()
 		if p.peek() != '|' {
+			p.depth = depth
 			return left, nil
 		}
 		p.pos++
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseSeq()
 		if err != nil {
 			return nil, err
@@ -148,6 +203,7 @@ func (p *parser) parseSeq() (Path, error) {
 // parseSeqAfterSlash parses step (('/'|'//') step)* with the first step
 // mandatory.
 func (p *parser) parseSeqAfterSlash() (Path, error) {
+	depth := p.depth
 	left, err := p.parseStep()
 	if err != nil {
 		return nil, err
@@ -156,6 +212,9 @@ func (p *parser) parseSeqAfterSlash() (Path, error) {
 		p.skipSpace()
 		if strings.HasPrefix(p.src[p.pos:], "//") {
 			p.pos += 2
+			if err := p.deeper(); err != nil {
+				return nil, err
+			}
 			right, err := p.parseStep()
 			if err != nil {
 				return nil, err
@@ -167,6 +226,9 @@ func (p *parser) parseSeqAfterSlash() (Path, error) {
 		}
 		if p.peek() == '/' {
 			p.pos++
+			if err := p.deeper(); err != nil {
+				return nil, err
+			}
 			right, err := p.parseStep()
 			if err != nil {
 				return nil, err
@@ -174,12 +236,14 @@ func (p *parser) parseSeqAfterSlash() (Path, error) {
 			left = Seq{Left: left, Right: right}
 			continue
 		}
+		p.depth = depth
 		return left, nil
 	}
 }
 
 // parseStep := primary ('[' qual ']')*
 func (p *parser) parseStep() (Path, error) {
+	depth := p.depth
 	prim, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
@@ -187,9 +251,13 @@ func (p *parser) parseStep() (Path, error) {
 	for {
 		p.skipSpace()
 		if p.peek() != '[' {
+			p.depth = depth
 			return prim, nil
 		}
 		p.pos++
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		q, err := p.parseQualOr()
 		if err != nil {
 			return nil, err
@@ -207,17 +275,16 @@ func (p *parser) parsePrimary() (Path, error) {
 	p.skipSpace()
 	switch {
 	case p.peek() == '(':
-		p.pos++
-		inner, err := p.parseUnion()
-		if err != nil {
-			return nil, err
+		key := memoKey{pos: p.pos, depth: p.depth}
+		if r, ok := p.memo[key]; ok {
+			p.pos = r.end
+			return r.path, r.err
 		}
-		p.skipSpace()
-		if p.peek() != ')' {
-			return nil, p.errf("expected ')'")
+		path, err := p.parseParenPath()
+		if p.memo != nil {
+			p.memo[key] = memoResult{path: path, end: p.pos, err: err}
 		}
-		p.pos++
-		return inner, nil
+		return path, err
 	case p.peek() == '*':
 		p.pos++
 		return Wildcard{}, nil
@@ -240,46 +307,90 @@ func (p *parser) parsePrimary() (Path, error) {
 	}
 }
 
+// parseParenPath parses '(' union ')'.
+func (p *parser) parseParenPath() (Path, error) {
+	p.pos++
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
+	inner, err := p.parseUnion()
+	p.depth--
+	if err != nil {
+		return nil, err
+	}
+	p.skipSpace()
+	if p.peek() != ')' {
+		return nil, p.errf("expected ')'")
+	}
+	p.pos++
+	return inner, nil
+}
+
 // parseQualOr := parseQualAnd ('or' parseQualAnd)*
 func (p *parser) parseQualOr() (Qual, error) {
+	depth := p.depth
 	left, err := p.parseQualAnd()
 	if err != nil {
 		return nil, err
 	}
 	for p.eatKeyword("or") {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseQualAnd()
 		if err != nil {
 			return nil, err
 		}
 		left = QOr{Left: left, Right: right}
 	}
+	p.depth = depth
 	return left, nil
 }
 
 // parseQualAnd := parseQualAtom ('and' parseQualAtom)*
 func (p *parser) parseQualAnd() (Qual, error) {
+	depth := p.depth
 	left, err := p.parseQualAtom()
 	if err != nil {
 		return nil, err
 	}
 	for p.eatKeyword("and") {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseQualAtom()
 		if err != nil {
 			return nil, err
 		}
 		left = QAnd{Left: left, Right: right}
 	}
+	p.depth = depth
 	return left, nil
 }
 
 func (p *parser) parseQualAtom() (Qual, error) {
 	p.skipSpace()
+	if p.peek() == '(' {
+		key := memoKey{pos: p.pos, depth: p.depth, qual: true}
+		if r, ok := p.memo[key]; ok {
+			p.pos = r.end
+			return r.qual, r.err
+		}
+		q, err := p.parseParenQual()
+		if p.memo != nil {
+			p.memo[key] = memoResult{qual: q, end: p.pos, err: err}
+		}
+		return q, err
+	}
 	if p.eatKeyword("not") {
 		p.skipSpace()
 		if p.peek() != '(' {
 			return nil, p.errf("expected '(' after not")
 		}
 		p.pos++
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseQualOr()
 		if err != nil {
 			return nil, err
@@ -289,6 +400,7 @@ func (p *parser) parseQualAtom() (Qual, error) {
 			return nil, p.errf("expected ')' after not(...)")
 		}
 		p.pos++
+		p.depth--
 		return QNot{Sub: inner}, nil
 	}
 	if p.eatKeyword("true") {
@@ -320,26 +432,50 @@ func (p *parser) parseQualAtom() (Qual, error) {
 		}
 		return QAttrEq{Name: name, Value: val}, nil
 	}
-	if p.peek() == '(' {
-		// Could be a parenthesized qualifier or a parenthesized path.
-		// Try qualifier first; on failure fall back to a path atom.
-		save := p.pos
-		p.pos++
-		inner, err := p.parseQualOr()
-		if err == nil {
+	return p.parsePathQual()
+}
+
+// parseParenQual parses a qualifier atom that opens with '(': a
+// parenthesized qualifier or a path whose first step is parenthesized.
+// It tries the qualifier first and, on failure, parses the same text
+// again as a path. Nested, that retry would multiply: in
+// a[(b[(b[(c)/d])/d])/d] each level reads its inner level twice, so
+// the work doubles per level. From the first retry on, the parser
+// therefore memoizes every parenthesized subexpression by offset and
+// depth (see memoKey), and each is parsed at most once as a qualifier
+// atom and once as a path primary.
+func (p *parser) parseParenQual() (Qual, error) {
+	save, depth := p.pos, p.depth
+	p.pos++
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
+	inner, err := p.parseQualOr()
+	if err == nil {
+		p.skipSpace()
+		if p.peek() == ')' {
+			p.pos++
+			// If an '=' or path continuation follows, the parentheses
+			// belonged to a path; re-parse as a path qualifier.
 			p.skipSpace()
-			if p.peek() == ')' {
-				p.pos++
-				// If an '=' or path continuation follows, the parentheses
-				// belonged to a path; re-parse as a path qualifier.
-				p.skipSpace()
-				if p.peek() != '=' && p.peek() != '/' && p.peek() != '[' {
-					return inner, nil
-				}
+			if p.peek() != '=' && p.peek() != '/' && p.peek() != '[' {
+				p.depth = depth
+				return inner, nil
 			}
 		}
-		p.pos = save
 	}
+	if p.tooDeep != nil {
+		return nil, p.tooDeep
+	}
+	p.pos, p.depth = save, depth
+	if p.memo == nil {
+		p.memo = make(map[memoKey]memoResult)
+	}
+	return p.parsePathQual()
+}
+
+// parsePathQual := union ['=' literal]
+func (p *parser) parsePathQual() (Qual, error) {
 	path, err := p.parseUnion()
 	if err != nil {
 		return nil, err

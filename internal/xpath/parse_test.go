@@ -1,10 +1,13 @@
 package xpath
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -229,5 +232,109 @@ func TestKeywordNamesAreLabels(t *testing.T) {
 	wantQ := QAnd{Left: QPath{Path: Label{Name: "android"}}, Right: QPath{Path: Label{Name: "order"}}}
 	if !QualEqual(q, wantQ) {
 		t.Errorf("got %s", QualString(q))
+	}
+}
+
+// TestParseDepthLimit: no query text can nest deeper than MaxDepth.
+// Deeper queries — in parentheses, qualifiers, not(), or as left-deep
+// operator chains — fail with a ParseError instead of exhausting the
+// stack, and a query one level inside the bound still parses.
+func TestParseDepthLimit(t *testing.T) {
+	nest := func(open, inner, close string, n int) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	chain := func(op string, n int) string {
+		return strings.Repeat("a"+op, n) + "a"
+	}
+	tooDeep := map[string]string{
+		"4.9M-deep parens":       nest("(", "patient", ")", 4_900_000),
+		"200k-step path":         chain("/", 200_000),
+		"200k-step descendants":  chain("//", 200_000),
+		"200k-way union":         chain("|", 200_000),
+		"200k stacked filters":   "a" + strings.Repeat("[b]", 200_000),
+		"200k nested qualifiers": nest("a[", "b", "]", 200_000),
+		"200k nested not()":      "a[" + nest("not(", "b", ")", 200_000) + "]",
+		"200k-way and":           "a[" + chain(" and ", 200_000) + "]",
+		"200k-way or":            "a[" + chain(" or ", 200_000) + "]",
+		"parens past the bound":  nest("(", "a", ")", MaxDepth+1),
+		"chain past the bound":   chain("/", MaxDepth+1),
+		"parens in a qualifier":  "a[" + nest("(", "b", ")", 200_000) + " = 1]",
+		// Each level's qualifier reading of '(' fails on the depth error
+		// inside; retrying it as a path must not double the work.
+		"[( past the bound": "a" + nest("[(b", "", ")]", MaxDepth/2+1),
+	}
+	for name, src := range tooDeep {
+		start := time.Now()
+		_, err := Parse(src)
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a ParseError", name, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s: rejected after %v, want well under 2s", name, d)
+		}
+	}
+	if _, err := ParseQual(nest("not(", "b", ")", 200_000)); err == nil {
+		t.Errorf("ParseQual accepted 200k nested not()")
+	}
+	for name, src := range map[string]string{
+		"parens":     nest("(", "a", ")", MaxDepth-1),
+		"path":       chain("/", MaxDepth-1),
+		"union":      chain("|", MaxDepth-1),
+		"qualifiers": nest("a[", "b", "]", MaxDepth-1),
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("%s at depth MaxDepth-1: %v", name, err)
+		}
+	}
+}
+
+// TestParseParenRetryIsLinear: a '(' inside a qualifier is read first
+// as a parenthesized qualifier and, when that fails, again as a path.
+// Unmemoized, nested retries compound — 2^n steps for n levels of
+// a[(b[(b[(c)/d])/d])/d] — so a few hundred bytes of query would pin a
+// CPU. Each of these shapes, valid or not, must parse in one fast pass
+// to the plan the grammar gives it.
+func TestParseParenRetryIsLinear(t *testing.T) {
+	// shape builds a[S(n)] with S(1) = (c)<op>d and
+	// S(k) = (b[S(k-1)])<op>d, and the printed form wanted for op "/".
+	shape := func(op string, n int) (src, want string) {
+		src, want = "(c)"+op+"d", "c/d"
+		for k := 1; k < n; k++ {
+			src, want = "(b["+src+"])"+op+"d", "b["+want+"]/d"
+		}
+		return "a[" + src + "]", "a[" + want + "]"
+	}
+	long := strings.Repeat("x", 1000)
+	const levels = 450 // two levels of nesting each: inside MaxDepth
+	for _, tc := range []struct {
+		name, src, want string // want "" means a ParseError
+	}{
+		{name: "small valid shape", src: "a[(b[(c)/d])/d]", want: "a[b[c/d]/d]"},
+		{name: "valid, path continuation after every ')'", src: func() string { s, _ := shape("/", levels); return s }(),
+			want: func() string { _, w := shape("/", levels); return w }()},
+		{name: "invalid, '|' after every ')'", src: func() string { s, _ := shape("|", levels); return s }()},
+		{name: "[( just inside the bound", src: "a" + strings.Repeat("[(b", levels) + strings.Repeat(")]", levels),
+			want: "a" + strings.Repeat("[b", levels) + strings.Repeat("]", levels)},
+		{name: "deep path parens with long labels",
+			src:  "a[" + strings.Repeat("(", 900) + "b" + strings.Repeat(")/"+long, 900) + "]",
+			want: "a[b" + strings.Repeat("/"+long, 900) + "]"},
+	} {
+		start := time.Now()
+		p, err := Parse(tc.src)
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s: parsed in %v, want well under 2s", tc.name, d)
+		}
+		switch {
+		case tc.want == "":
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Errorf("%s: err = %v, want a ParseError", tc.name, err)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case String(p) != tc.want:
+			t.Errorf("%s: parsed as %.80s…, want %.80s…", tc.name, String(p), tc.want)
+		}
 	}
 }

@@ -113,9 +113,9 @@ func writeQual(b *strings.Builder, q Qual, ctx int) {
 	case QFalse:
 		b.WriteString("false()")
 	case QPath:
-		writePath(b, q.Path, precUnion)
+		writeQualPath(b, q.Path, precUnion)
 	case QEq:
-		writePath(b, q.Path, precSeq)
+		writeQualPath(b, q.Path, precSeq)
 		b.WriteString(" = ")
 		if q.Var != "" {
 			b.WriteString("$")
@@ -156,6 +156,38 @@ func writeQual(b *strings.Builder, q Qual, ctx int) {
 		b.WriteString(")")
 	default:
 		fmt.Fprintf(b, "<?qual %T>", q)
+	}
+}
+
+// writeQualPath writes the path of a qualifier atom. A path that would
+// open with a step named not, true or false is parenthesized: bare, the
+// parser reads that word as the qualifier keyword.
+func writeQualPath(b *strings.Builder, p Path, ctx int) {
+	if !opensWithQualKeyword(p) {
+		writePath(b, p, ctx)
+		return
+	}
+	b.WriteString("(")
+	writePath(b, p, precUnion)
+	b.WriteString(")")
+}
+
+// opensWithQualKeyword reports whether p's leftmost step is a label
+// that parseQualAtom would read as a keyword.
+func opensWithQualKeyword(p Path) bool {
+	for {
+		switch q := p.(type) {
+		case Label:
+			return q.Name == "not" || q.Name == "true" || q.Name == "false"
+		case Seq:
+			p = q.Left
+		case Union:
+			p = q.Left
+		case Qualified:
+			p = q.Sub
+		default:
+			return false
+		}
 	}
 }
 
