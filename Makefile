@@ -29,9 +29,12 @@ bench:
 # between loadbench refreshes. BenchmarkAnswerCacheLookup prices the
 # answer cache's containment proofs, so a regression in their
 # allocs/op shows here before it shows in servebench's zipf-contain.
+# BenchmarkRewriteWidth is Ablation B at |p| up to 10⁴: a plan-memo
+# regression that makes rewrite or optimize superlinear in the query
+# shows in its ns/op and cells/node.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkQualifiedScan|BenchmarkAnswerCacheLookup' -benchmem -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkQualifiedScan|BenchmarkAnswerCacheLookup|BenchmarkRewriteWidth' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
 	$(GO) test -run xxx -bench 'BenchmarkWriteResult' -benchmem -benchtime 1x ./internal/serve
 

@@ -6,6 +6,7 @@ package securexml
 //	BenchmarkTable1/...            Table 1 (Q1-Q4 × D1-D4 × 3 approaches)
 //	BenchmarkDerive/...            Ablation A: derive cost vs DTD size
 //	BenchmarkRewrite/...           Ablation B: rewrite cost vs query/view size
+//	BenchmarkRewriteWidth/...      Ablation B at scale: |p| up to 10⁴ nodes
 //	BenchmarkSimulate/...          Ablation C: containment-test cost
 //	BenchmarkUnfold/...            Ablation D: recursive-view unfolding
 //	BenchmarkMaterializeVsRewrite  Ablation E: materialization vs rewriting
@@ -244,6 +245,84 @@ func BenchmarkRewrite(b *testing.B) {
 					if _, err := r.Rewrite(p); err != nil {
 						b.Fatal(err)
 					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRewriteWidth is Ablation B at scale: |p| ∈ {10², 10³, 10⁴}
+// AST nodes for two families, a union of distinct
+// //patient[.//bill = "yI"]//name branches over the hospital nurse view
+// and an a/a/…/a/b child path over the recursive Fig. 7 view. The
+// rewrite row times a cold rewriter (fresh DP memo each round); the
+// optimize row times a cold optimizer on that rewrite's output, as its
+// own trajectory. cells/node is the DP cells computed per query node,
+// which Thm 4.1 keeps flat in |p|.
+func BenchmarkRewriteWidth(b *testing.B) {
+	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hospital, err := secview.Derive(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fig7, err := secview.Derive(dtds.Fig7Spec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	families := []struct {
+		name  string
+		view  *secview.View
+		query func(n int) xpath.Path
+	}{
+		{"union", hospital, func(n int) xpath.Path {
+			var p xpath.Path = xpath.Empty{}
+			for i, size := 0, 0; size < n; i++ {
+				br := xpath.MustParse(fmt.Sprintf(`//patient[.//bill = "y%d"]//name`, i))
+				p = xpath.MakeUnion(p, br)
+				size += xpath.Size(br) + 1
+			}
+			return p
+		}},
+		{"path", fig7, func(n int) xpath.Path {
+			var p xpath.Path = xpath.L("a")
+			for size := 1; size < n-2; size += 2 {
+				p = xpath.Seq{Left: p, Right: xpath.L("a")}
+			}
+			return xpath.Seq{Left: p, Right: xpath.L("b")}
+		}},
+	}
+	for _, f := range families {
+		for _, n := range []int{100, 1000, 10000} {
+			p := f.query(n)
+			size := float64(xpath.Size(p))
+			rw, err := rewrite.ForView(f.view)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pt, err := rw.Rewrite(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/p=%d/rewrite", f.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					// Fresh rewriter each round: the DP memo must not
+					// amortize across iterations.
+					r, err := rewrite.ForView(f.view)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := r.Rewrite(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(rw.MemoLen())/size, "cells/node")
+			})
+			b.Run(fmt.Sprintf("%s/p=%d/optimize", f.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					optimize.New(f.view.Doc).Optimize(pt)
 				}
 			})
 		}

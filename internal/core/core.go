@@ -337,7 +337,8 @@ func (e *Engine) heightClass(height int) int {
 }
 
 // prepared returns the cached plan for (query, height class), building
-// and caching it on a miss. Queries with unbound $variables are
+// and caching it on a miss; a build the context cuts short (see
+// QueryCtx) returns ctx.Err(). Queries with unbound $variables are
 // rejected up front: depending on the document they would either error
 // mid-evaluation or silently match nothing, and neither belongs in the
 // cache. A context carrying a QueryMetrics carrier gets the cache
@@ -372,7 +373,10 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepa
 		return nil, err
 	}
 	rewriteDone := time.Now()
-	po := e.opt.OptimizeCtx(ctx, pt)
+	po, err := e.opt.OptimizeCtx(ctx, pt)
+	if err != nil {
+		return nil, err
+	}
 	if qm != nil {
 		qm.Rewrite = rewriteDone.Sub(start)
 		qm.Optimize = time.Since(rewriteDone)
@@ -403,10 +407,11 @@ func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, er
 
 // QueryCtx is Query honoring a context: evaluation polls the context
 // cooperatively and returns ctx.Err() once it is done, so callers can
-// bound a query with a deadline or cancel it mid-flight. Plan rewriting
-// and caching complete normally either way — a cancelled query leaves
-// the plan cache exactly as a successful one would, so a retry hits the
-// cached plan.
+// bound a query with a deadline or cancel it mid-flight. Rewrite and
+// optimize poll it too, but run on for up to xpath.PlanGrace past the
+// deadline: a plan that finishes within the grace is cached as on a
+// successful query, so a retry hits it, while a plan build that cannot
+// finish returns ctx.Err() and caches nothing.
 //
 // With Config.AnswerCache on, the prepared plan is first offered to the
 // semantic answer cache: a provably-equal cached plan answers directly,
@@ -651,7 +656,10 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	ex.Rewritten = xpath.String(pt)
 	ex.RewrittenSize = xpath.Size(pt)
 	start = time.Now()
-	po := e.opt.OptimizeCtx(ctx, pt)
+	po, err := e.opt.OptimizeCtx(ctx, pt)
+	if err != nil {
+		return nil, err
+	}
 	ex.OptimizeNs = time.Since(start).Nanoseconds()
 	ex.Optimized = xpath.String(po)
 	ex.OptimizedSize = xpath.Size(po)

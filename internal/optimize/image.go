@@ -26,6 +26,8 @@
 package optimize
 
 import (
+	"context"
+
 	"repro/internal/dtd"
 	"repro/internal/xpath"
 )
@@ -68,18 +70,28 @@ type builder struct {
 
 func (b *builder) node(label string) *inode {
 	b.size++
-	if b.size > imageBudget {
+	// A large image is plan-construction work like a cell: it polls the
+	// call's context too, and a cancelled build gives up like an
+	// overflowing one.
+	if b.size > imageBudget || b.size%256 == 0 && !b.o.memo.Compute() {
 		b.overflow = true
 	}
 	return &inode{label: label}
 }
 
-// image computes image(p, A). ok is false when construction overflowed
-// the budget (callers must then skip containment tests); a nil graph with
-// ok true means p provably selects nothing at A.
+// image computes image(p, A) as a call of its own: it interns p and
+// builds. ok is false when construction overflowed the budget (callers
+// must then skip containment tests); a nil graph with ok true means p
+// provably selects nothing at A.
 func (o *Optimizer) image(p xpath.Path, a string) (*igraph, bool) {
+	o.memo.Begin(context.Background())
+	return o.imageAt(o.memo.Intern(p), a)
+}
+
+// imageAt computes the image of the interned subtree i at A.
+func (o *Optimizer) imageAt(i int32, a string) (*igraph, bool) {
 	b := &builder{o: o}
-	root := b.build(p, a)
+	root := b.build(i, a)
 	if b.overflow {
 		return nil, false
 	}
@@ -89,13 +101,15 @@ func (o *Optimizer) image(p xpath.Path, a string) (*igraph, bool) {
 	return &igraph{root: root, size: b.size}, true
 }
 
-// build returns the occurrence tree of p at type a, or nil when empty.
-func (b *builder) build(p xpath.Path, a string) *inode {
+// build returns the occurrence tree of the interned subtree i at type
+// a, or nil when empty.
+func (b *builder) build(i int32, a string) *inode {
 	if b.overflow {
 		return nil
 	}
 	o := b.o
-	switch p := p.(type) {
+	tn := o.memo.Node(i)
+	switch p := tn.Path.(type) {
 	case xpath.Empty:
 		return nil
 	case xpath.Self:
@@ -134,41 +148,7 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		}
 		return n
 	case xpath.Seq:
-		g1 := b.build(p.Left, a)
-		if g1 == nil {
-			return nil
-		}
-		// Replace each frontier occurrence with the image of p.Right at its
-		// label; dead continuations leave dead branches pruned later. Spine
-		// sharing makes the graph a DAG (or cyclic for recursive DTDs), so
-		// each occurrence is visited exactly once — re-visiting would
-		// consume the frontier of freshly spliced continuations.
-		seen := make(map[*inode]bool)
-		var attach func(n *inode)
-		attach = func(n *inode) {
-			if seen[n] {
-				return
-			}
-			seen[n] = true
-			kids := n.kids
-			for _, k := range kids {
-				attach(k)
-			}
-			if !n.frontier {
-				return
-			}
-			n.frontier = false
-			g2 := b.build(p.Right, n.label)
-			if g2 == nil {
-				return
-			}
-			// g2's root is the same occurrence as n: splice its content.
-			n.kids = append(n.kids, g2.kids...)
-			n.quals = append(n.quals, g2.quals...)
-			n.frontier = g2.frontier
-		}
-		attach(g1)
-		return g1
+		return b.seq(tn.L, tn.R, a)
 	case xpath.Descend:
 		n := b.node(a)
 		fromA := o.d.Reachable(a)
@@ -178,7 +158,7 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 			if t == textNode {
 				continue
 			}
-			sub := b.build(p.Sub, t)
+			sub := b.build(tn.L, t)
 			if sub == nil {
 				continue
 			}
@@ -220,8 +200,8 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		}
 		return n
 	case xpath.Union:
-		g1 := b.build(p.Left, a)
-		g2 := b.build(p.Right, a)
+		g1 := b.build(tn.L, a)
+		g2 := b.build(tn.R, a)
 		if g1 == nil {
 			return g2
 		}
@@ -235,9 +215,9 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		return g1
 	case xpath.Qualified:
 		if _, ok := p.Sub.(xpath.Self); !ok {
-			return b.build(xpath.Seq{Left: p.Sub, Right: xpath.Qualified{Sub: xpath.Self{}, Cond: p.Cond}}, a)
+			return b.seq(tn.L, o.memo.SelfQual(i), a) // p1[q] ≡ p1/ε[q]
 		}
-		tv, simplified := o.optQual(p.Cond, a)
+		tv, simplified := o.optQual(tn.R, a)
 		switch tv {
 		case tvFalse:
 			return nil
@@ -260,6 +240,45 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 	default:
 		return nil
 	}
+}
+
+// seq builds the image of l/r at a: the image of l with each frontier
+// occurrence replaced by the image of r at its label.
+func (b *builder) seq(l, r int32, a string) *inode {
+	g1 := b.build(l, a)
+	if g1 == nil {
+		return nil
+	}
+	// Dead continuations leave dead branches pruned later. Spine sharing
+	// makes the graph a DAG (or cyclic for recursive DTDs), so each
+	// occurrence is visited exactly once — re-visiting would consume the
+	// frontier of freshly spliced continuations.
+	seen := make(map[*inode]bool)
+	var attach func(n *inode)
+	attach = func(n *inode) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		kids := n.kids
+		for _, k := range kids {
+			attach(k)
+		}
+		if !n.frontier {
+			return
+		}
+		n.frontier = false
+		g2 := b.build(r, n.label)
+		if g2 == nil {
+			return
+		}
+		// g2's root is the same occurrence as n: splice its content.
+		n.kids = append(n.kids, g2.kids...)
+		n.quals = append(n.quals, g2.quals...)
+		n.frontier = g2.frontier
+	}
+	attach(g1)
+	return g1
 }
 
 func hasKid(n, k *inode) bool {

@@ -2,7 +2,6 @@ package optimize
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"repro/internal/dtd"
@@ -19,7 +18,9 @@ type Optimizer struct {
 	mu sync.Mutex
 	d  *dtd.DTD
 
-	memo     map[memoKey]result
+	// memo is the DP table: cells keyed on (subtree id, DTD type),
+	// bounded by xpath.MemoBudget.
+	memo     *xpath.Memo
 	recReach map[string][]string
 	recPaths map[string]map[string]xpath.Path
 	reaching map[string]map[string]bool
@@ -40,46 +41,11 @@ type Optimizer struct {
 func New(d *dtd.DTD) *Optimizer {
 	return &Optimizer{
 		d:        d,
-		memo:     make(map[memoKey]result),
+		memo:     xpath.NewMemo(),
 		recReach: make(map[string][]string),
 		recPaths: make(map[string]map[string]xpath.Path),
 		reaching: make(map[string]map[string]bool),
 	}
-}
-
-type memoKey struct {
-	p xpath.Path
-	a string
-}
-
-// result is one DP cell: the optimized translation per reach target (see
-// package rewrite for why per-target composition is the sound variant of
-// the paper's union form).
-type result struct {
-	byTarget map[string]xpath.Path
-	reach    []string
-}
-
-func newResult() result { return result{byTarget: make(map[string]xpath.Path)} }
-
-func (r *result) add(target string, p xpath.Path) {
-	if xpath.IsEmpty(p) {
-		return
-	}
-	if prev, ok := r.byTarget[target]; ok {
-		r.byTarget[target] = xpath.MakeUnion(prev, p)
-		return
-	}
-	r.byTarget[target] = p
-	r.reach = append(r.reach, target)
-}
-
-func (r result) total() xpath.Path {
-	out := xpath.Path(xpath.Empty{})
-	for _, v := range r.reach {
-		out = xpath.MakeUnion(out, r.byTarget[v])
-	}
-	return out
 }
 
 // Optimize rewrites p (evaluated at root elements of the DTD) into an
@@ -92,32 +58,42 @@ func (o *Optimizer) Optimize(p xpath.Path) xpath.Path {
 func (o *Optimizer) OptimizeAt(p xpath.Path, a string) xpath.Path {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.optimizeAtLocked(p, a)
+	o.memo.Begin(context.Background())
+	return o.optimizeAtLocked(o.memo.Intern(p), a)
 }
 
-func (o *Optimizer) optimizeAtLocked(p xpath.Path, a string) xpath.Path {
-	return xpath.Simplify(o.opt(p, a).total())
+// optimizeAtLocked optimizes the interned subtree i at type a.
+func (o *Optimizer) optimizeAtLocked(i int32, a string) xpath.Path {
+	return xpath.Simplify(o.opt(i, o.memo.State(a)).Total())
 }
 
-// OptimizeCtx is Optimize with observability: when the context carries
-// a trace span, the pass is recorded as a child span carrying the
-// output size and the per-call delta of rules fired and branches
-// pruned. Without a span it is exactly Optimize plus one nil check.
-func (o *Optimizer) OptimizeCtx(ctx context.Context, p xpath.Path) xpath.Path {
+// OptimizeCtx is Optimize honoring a context: the DP polls it every few
+// cells and returns ctx.Err() once it is done, storing no cell of the
+// cut-short call. When the context carries a trace span, the pass is
+// recorded as a child span carrying the output size and the per-call
+// delta of rules fired and branches pruned.
+func (o *Optimizer) OptimizeCtx(ctx context.Context, p xpath.Path) (xpath.Path, error) {
 	_, sp := obs.StartSpan(ctx, "optimize")
 	o.mu.Lock()
 	r0, p0 := o.rules, o.pruned
-	out := o.optimizeAtLocked(p, o.d.Root())
+	o.memo.Begin(ctx)
+	out := o.optimizeAtLocked(o.memo.Intern(p), o.d.Root())
+	err := o.memo.Err()
 	dr, dp := o.rules-r0, o.pruned-p0
 	o.mu.Unlock()
+	if err != nil {
+		out = nil
+	}
 	if sp != nil {
 		sp.SetAttr("input_size", xpath.Size(p))
-		sp.SetAttr("output_size", xpath.Size(out))
+		if err == nil {
+			sp.SetAttr("output_size", xpath.Size(out))
+		}
 		sp.SetAttr("rules_fired", dr)
 		sp.SetAttr("pruned_branches", dp)
 		sp.Finish()
 	}
-	return out
+	return out, err
 }
 
 // Stats reports the optimizer's cumulative counters: DTD-driven
@@ -137,9 +113,10 @@ func (o *Optimizer) OptimizeString(query string) (string, error) {
 	return xpath.String(o.Optimize(p)), nil
 }
 
-// targets returns reach(p, a): the DTD types reachable from a via p.
-func (o *Optimizer) targets(p xpath.Path, a string) []string {
-	return o.opt(p, a).reach
+// targets returns reach(p, a) for the interned subtree i: the DTD types
+// reachable from a via p, as a DP cell.
+func (o *Optimizer) targets(i int32, a string) xpath.Cell {
+	return o.opt(i, o.memo.State(a))
 }
 
 // Reach returns reach(p, root): the element types a root-context query
@@ -148,97 +125,99 @@ func (o *Optimizer) targets(p xpath.Path, a string) []string {
 func (o *Optimizer) Reach(p xpath.Path) []string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return append([]string(nil), o.targets(p, o.d.Root())...)
+	o.memo.Begin(context.Background())
+	var out []string
+	for _, t := range o.targets(o.memo.Intern(p), o.d.Root()) {
+		out = append(out, o.memo.StateName(t.State))
+	}
+	return out
 }
 
-func (o *Optimizer) opt(p xpath.Path, a string) result {
-	key := memoKey{p: p, a: a}
-	if res, ok := o.memo[key]; ok {
+// opt optimizes the interned subtree i at DTD type a; results are
+// memoized on (subtree id, type). A cell holds the optimized
+// translation per reach target (see package rewrite for why per-target
+// composition is the sound variant of the paper's union form).
+func (o *Optimizer) opt(i, a int32) xpath.Cell {
+	id := o.memo.Node(i).ID
+	if res, ok := o.memo.Cell(id, a); ok {
 		return res
 	}
-	res := o.compute(p, a)
-	sort.Strings(res.reach)
-	o.memo[key] = res
-	return res
+	if !o.memo.Compute() {
+		return nil
+	}
+	return o.memo.Store(id, a, o.compute(i, a))
 }
 
-func (o *Optimizer) compute(p xpath.Path, a string) result {
-	res := newResult()
-	switch p := p.(type) {
+func (o *Optimizer) compute(i, ai int32) xpath.Cell {
+	var res xpath.Cell
+	n := o.memo.Node(i)
+	a := o.memo.StateName(ai)
+	switch p := n.Path.(type) {
 	case xpath.Empty:
 		return res
 	case xpath.Self: // case (1)
-		res.add(a, xpath.Self{})
-		return res
+		return res.Add(ai, xpath.Self{})
 	case xpath.Label: // case (2)
 		if p.Name == xpath.TextName {
 			if c, ok := o.d.Production(a); ok && c.Kind == dtd.Text {
-				res.add(textNode, p)
+				res = res.Add(o.memo.State(textNode), p)
 			}
 			return res
 		}
 		if o.d.HasChild(a, p.Name) {
-			res.add(p.Name, p)
+			res = res.Add(o.memo.State(p.Name), p)
 		}
 		return res
 	case xpath.Wildcard: // case (3): expand to the concrete child labels
 		for _, b := range o.d.Children(a) {
-			res.add(b, xpath.L(b))
+			res = res.Add(o.memo.State(b), xpath.L(b))
 		}
 		return res
 	case xpath.Seq: // case (4), per target
-		r1 := o.opt(p.Left, a)
-		for _, v := range r1.reach {
-			r2 := o.opt(p.Right, v)
-			for _, w := range r2.reach {
-				res.add(w, xpath.MakeSeq(r1.byTarget[v], r2.byTarget[w]))
-			}
-		}
-		return res
+		return o.seq(n.L, n.R, ai)
 	case xpath.Descend: // case (5): expand '//' through recProc
 		for _, b := range o.reachDescend(a) {
-			sub := o.opt(p.Sub, b)
-			for _, w := range sub.reach {
-				res.add(w, xpath.MakeSeq(o.recrw(a, b), sub.byTarget[w]))
+			for _, w := range o.opt(n.L, o.memo.State(b)) {
+				res = res.Add(w.State, xpath.MakeSeq(o.recrw(a, b), w.Plan))
 			}
 		}
 		return res
 	case xpath.Union: // case (6): drop a branch contained in the other
-		g1, ok1 := o.image(p.Left, a)
-		g2, ok2 := o.image(p.Right, a)
+		g1, ok1 := o.imageAt(n.L, a)
+		g2, ok2 := o.imageAt(n.R, a)
 		if ok1 && ok2 {
 			if o.simulate(g1, g2) {
 				o.rules++
 				o.pruned++
-				return o.opt(p.Right, a)
+				return o.opt(n.R, ai)
 			}
 			if o.simulate(g2, g1) {
 				o.rules++
 				o.pruned++
-				return o.opt(p.Left, a)
+				return o.opt(n.L, ai)
 			}
 		}
-		for _, sub := range []xpath.Path{p.Left, p.Right} {
-			rs := o.opt(sub, a)
-			for _, w := range rs.reach {
-				res.add(w, rs.byTarget[w])
+		for _, sub := range [2]int32{n.L, n.R} {
+			for _, w := range o.opt(sub, ai) {
+				res = res.Add(w.State, w.Plan)
 			}
 		}
 		return res
 	case xpath.Qualified:
 		if _, ok := p.Sub.(xpath.Self); ok { // case (7)
-			tv, q := o.optQual(p.Cond, a)
+			tv, q := o.optQual(n.R, a)
 			switch tv {
 			case tvTrue:
-				res.add(a, xpath.Self{})
+				res = res.Add(ai, xpath.Self{})
 			case tvFalse:
 				// ∅
 			default:
-				res.add(a, xpath.Qualified{Sub: xpath.Self{}, Cond: q})
+				res = res.Add(ai, xpath.Qualified{Sub: xpath.Self{}, Cond: q})
 			}
 			return res
 		}
-		return o.opt(xpath.Seq{Left: p.Sub, Right: xpath.Qualified{Sub: xpath.Self{}, Cond: p.Cond}}, a)
+		// p1[q] ≡ p1/ε[q].
+		return o.seq(n.L, o.memo.SelfQual(i), ai)
 	case xpath.Rec:
 		// Height-free rewrite of a recursive view region (package rewrite).
 		// The automaton is opaque to the optimizer, but its results are
@@ -249,12 +228,12 @@ func (o *Optimizer) compute(p xpath.Path, a string) result {
 		// plan construction, so self-reach is covered).
 		if p.ResultLabel == xpath.TextName {
 			if o.textReachable(o.d.Reachable(a)) {
-				res.add(textNode, p)
+				res = res.Add(o.memo.State(textNode), p)
 			}
 			return res
 		}
 		if o.d.Reachable(a)[p.ResultLabel] {
-			res.add(p.ResultLabel, p)
+			res = res.Add(o.memo.State(p.ResultLabel), p)
 		}
 		return res
 	default:
@@ -262,37 +241,49 @@ func (o *Optimizer) compute(p xpath.Path, a string) result {
 	}
 }
 
-// optQual is the paper's evaluate([q], A): it decides the qualifier where
-// DTD constraints fix its truth and otherwise returns an equivalent,
-// simplified qualifier.
-func (o *Optimizer) optQual(q xpath.Qual, a string) (triBool, xpath.Qual) {
-	switch q := q.(type) {
+// seq is case (4) for the subtrees l/r at type a, per target of l.
+func (o *Optimizer) seq(l, r, a int32) xpath.Cell {
+	var res xpath.Cell
+	for _, v := range o.opt(l, a) {
+		for _, w := range o.opt(r, v.State) {
+			res = res.Add(w.State, xpath.MakeSeq(v.Plan, w.Plan))
+		}
+	}
+	return res
+}
+
+// optQual is the paper's evaluate([q], A) for the interned qualifier i:
+// it decides the qualifier where DTD constraints fix its truth and
+// otherwise returns an equivalent, simplified qualifier.
+func (o *Optimizer) optQual(i int32, a string) (triBool, xpath.Qual) {
+	n := o.memo.Node(i)
+	switch q := n.Qual.(type) {
 	case xpath.QTrue:
 		return tvTrue, q
 	case xpath.QFalse:
 		return tvFalse, q
 	case xpath.QPath:
-		if o.impossible(q.Path, a) {
+		if o.impossible(n.L, a) {
 			o.rules++
 			o.pruned++
 			return tvFalse, xpath.QFalse{}
 		}
-		if o.guaranteed(q.Path, a) {
+		if o.guaranteed(n.L, a) {
 			o.rules++
 			o.pruned++
 			return tvTrue, xpath.QTrue{}
 		}
-		return tvUnknown, xpath.QPath{Path: o.optimizeAtLocked(q.Path, a)}
+		return tvUnknown, xpath.QPath{Path: o.optimizeAtLocked(n.L, a)}
 	case xpath.QEq:
-		if o.impossible(q.Path, a) {
+		if o.impossible(n.L, a) {
 			o.rules++
 			o.pruned++
 			return tvFalse, xpath.QFalse{}
 		}
-		return tvUnknown, xpath.QEq{Path: o.optimizeAtLocked(q.Path, a), Value: q.Value, Var: q.Var}
+		return tvUnknown, xpath.QEq{Path: o.optimizeAtLocked(n.L, a), Value: q.Value, Var: q.Var}
 	case xpath.QAnd:
-		t1, q1 := o.optQual(q.Left, a)
-		t2, q2 := o.optQual(q.Right, a)
+		t1, q1 := o.optQual(n.L, a)
+		t2, q2 := o.optQual(n.R, a)
 		if t1 == tvFalse || t2 == tvFalse {
 			return tvFalse, xpath.QFalse{}
 		}
@@ -317,8 +308,8 @@ func (o *Optimizer) optQual(q xpath.Qual, a string) (triBool, xpath.Qual) {
 		}
 		return tvUnknown, xpath.QAnd{Left: q1, Right: q2}
 	case xpath.QOr:
-		t1, q1 := o.optQual(q.Left, a)
-		t2, q2 := o.optQual(q.Right, a)
+		t1, q1 := o.optQual(n.L, a)
+		t2, q2 := o.optQual(n.R, a)
 		if t1 == tvTrue || t2 == tvTrue {
 			return tvTrue, xpath.QTrue{}
 		}
@@ -330,7 +321,7 @@ func (o *Optimizer) optQual(q xpath.Qual, a string) (triBool, xpath.Qual) {
 		}
 		return tvUnknown, xpath.QOr{Left: q1, Right: q2}
 	case xpath.QNot:
-		t, sub := o.optQual(q.Sub, a)
+		t, sub := o.optQual(n.L, a)
 		if t != tvUnknown {
 			return t.not(), xpath.MakeNot(sub)
 		}

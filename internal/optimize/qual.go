@@ -110,17 +110,19 @@ func firstStepLabels(p xpath.Path) (map[string]bool, bool) {
 // guaranteed reports that p selects at least one node at every A element
 // of every instance of the DTD (the co-existence constraint generalized
 // along paths). It is conservative: false means "not provable".
-func (o *Optimizer) guaranteed(p xpath.Path, a string) bool {
-	return o.guaranteedDepth(p, a, 0)
+func (o *Optimizer) guaranteed(i int32, a string) bool {
+	return o.guaranteedDepth(i, a, 0)
 }
 
-// guaranteedDepth bounds recursion on recursive DTDs; the bound loses
-// only precision, never soundness.
-func (o *Optimizer) guaranteedDepth(p xpath.Path, a string, depth int) bool {
+// guaranteedDepth decides guaranteed for the interned subtree i; depth
+// bounds recursion on recursive DTDs, and the bound loses only
+// precision, never soundness.
+func (o *Optimizer) guaranteedDepth(i int32, a string, depth int) bool {
 	if depth > o.d.Len()+4 {
 		return false
 	}
-	switch p := p.(type) {
+	n := o.memo.Node(i)
+	switch p := n.Path.(type) {
 	case xpath.Self:
 		return true
 	case xpath.Label:
@@ -149,24 +151,24 @@ func (o *Optimizer) guaranteedDepth(p xpath.Path, a string, depth int) bool {
 		// exactly one (paper case (7)).
 		return (c.Kind == dtd.Seq && len(c.Items) > 0 && !allStarred(c)) || c.Kind == dtd.Choice
 	case xpath.Seq:
-		if !o.guaranteedDepth(p.Left, a, depth+1) {
+		if !o.guaranteedDepth(n.L, a, depth+1) {
 			return false
 		}
-		targets := o.targets(p.Left, a)
+		targets := o.targets(n.L, a)
 		if len(targets) == 0 {
 			return false
 		}
 		for _, b := range targets {
-			if !o.guaranteedDepth(p.Right, b, depth+1) {
+			if !o.guaranteedDepth(n.R, o.memo.StateName(b.State), depth+1) {
 				return false
 			}
 		}
 		return true
 	case xpath.Descend:
 		// //p is guaranteed whenever p is guaranteed at the context itself.
-		return o.guaranteedDepth(p.Sub, a, depth+1)
+		return o.guaranteedDepth(n.L, a, depth+1)
 	case xpath.Union:
-		return o.guaranteedDepth(p.Left, a, depth+1) || o.guaranteedDepth(p.Right, a, depth+1)
+		return o.guaranteedDepth(n.L, a, depth+1) || o.guaranteedDepth(n.R, a, depth+1)
 	default:
 		return false
 	}
@@ -183,6 +185,6 @@ func allStarred(c dtd.Content) bool {
 
 // impossible reports that p selects nothing at any A element (the
 // non-existence constraint): no DTD node is reachable from A via p.
-func (o *Optimizer) impossible(p xpath.Path, a string) bool {
-	return len(o.targets(p, a)) == 0
+func (o *Optimizer) impossible(i int32, a string) bool {
+	return len(o.targets(i, a)) == 0
 }

@@ -35,6 +35,11 @@ func (o *Optimizer) recrw(a, b string) xpath.Path {
 }
 
 func (o *Optimizer) runRecProc(a string) {
+	// One table counts as one cell towards the context poll, and a
+	// cut-short call stores no table.
+	if !o.memo.Compute() {
+		return
+	}
 	reachable := o.d.Reachable(a)
 	paths := make(map[string]xpath.Path)
 
@@ -86,10 +91,12 @@ func (o *Optimizer) runRecProc(a string) {
 				}
 			}
 		}
+		// Topological order keeps the union's text stable across runs
+		// (see package rewrite's runRecProc).
 		var textPaths xpath.Path = xpath.Empty{}
-		for b, pb := range paths {
+		for _, b := range order {
 			if c, ok := o.d.Production(b); ok && c.Kind == dtd.Text {
-				textPaths = xpath.MakeUnion(textPaths, xpath.MakeSeq(pb, xpath.L(xpath.TextName)))
+				textPaths = xpath.MakeUnion(textPaths, xpath.MakeSeq(paths[b], xpath.L(xpath.TextName)))
 			}
 		}
 		if !xpath.IsEmpty(textPaths) {

@@ -52,6 +52,11 @@ func (r *Rewriter) recrw(a, b string) xpath.Path {
 // expansion even in height-free mode — it exposes more structure to the
 // optimizer.
 func (r *Rewriter) runRecProc(a string) {
+	// One table costs O(|D_v|²) at most; it counts as one cell towards
+	// the context poll, and a cut-short call stores no table.
+	if !r.memo.Compute() {
+		return
+	}
 	// Collect the sub-graph reachable from a.
 	reachable := map[string]bool{a: true}
 	var stack []string
@@ -113,10 +118,12 @@ func (r *Rewriter) runRecProc(a string) {
 
 	// Text nodes are in the descendant-or-self set too: give them a single
 	// pseudo target so queries like //. and //text() cover them.
+	// The union runs in topological order: ranging over the paths map
+	// would print the same plan differently from run to run.
 	var textPaths xpath.Path = xpath.Empty{}
-	for b, pb := range paths {
+	for _, b := range order {
 		if sig, ok := r.sigma[[2]string{b, dtd.TextLabel}]; ok {
-			textPaths = xpath.MakeUnion(textPaths, xpath.MakeSeq(pb, sig))
+			textPaths = xpath.MakeUnion(textPaths, xpath.MakeSeq(paths[b], sig))
 		}
 	}
 	if !xpath.IsEmpty(textPaths) {

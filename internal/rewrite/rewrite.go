@@ -27,7 +27,6 @@ package rewrite
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/dtd"
@@ -60,60 +59,15 @@ type Rewriter struct {
 	// shared by pointer across all Rec nodes the rewriter emits.
 	recGraph *xpath.RecGraph
 
-	memo map[memoKey]result
+	// memo is the DP table: cells keyed on (subtree id, view type),
+	// bounded by xpath.MemoBudget.
+	memo *xpath.Memo
 
 	// unfolded/height record whether this rewriter's view DTD was
 	// unfolded (recursive view) and to what document height — pure
 	// observability; the algorithm never reads them back.
 	unfolded bool
 	height   int
-}
-
-type memoKey struct {
-	p xpath.Path
-	a string
-}
-
-// result is one DP cell: for a (sub-query, view type) pair it keeps the
-// local translation *per reach target*. Keeping translations per target —
-// rather than the single union rw(p', A) of Fig. 6 — is what makes step
-// composition sound: in p1/p2, the continuation rewritten for target v is
-// composed only onto the paths that lead to v, so a qualifier that is,
-// say, false at v1 but true at v2 cannot leak across (see DESIGN.md,
-// "Mixed-target step composition"). The union of the per-target
-// translations is exactly the paper's rw(p', A).
-type result struct {
-	byTarget map[string]xpath.Path
-	reach    []string // sorted set of effective view types
-}
-
-// total returns rw(p', A): the union of the per-target translations, in
-// deterministic (sorted target) order.
-func (r result) total() xpath.Path {
-	out := xpath.Path(xpath.Empty{})
-	for _, v := range r.reach {
-		out = xpath.MakeUnion(out, r.byTarget[v])
-	}
-	return out
-}
-
-func (r result) empty() bool { return len(r.byTarget) == 0 }
-
-func newResult() result {
-	return result{byTarget: make(map[string]xpath.Path)}
-}
-
-// add unions a translation into one target's cell.
-func (r *result) add(target string, p xpath.Path) {
-	if xpath.IsEmpty(p) {
-		return
-	}
-	if prev, ok := r.byTarget[target]; ok {
-		r.byTarget[target] = xpath.MakeUnion(prev, p)
-		return
-	}
-	r.byTarget[target] = p
-	r.reach = append(r.reach, target)
 }
 
 // ForView builds a rewriter for a security view. Recursive view DTDs are
@@ -166,12 +120,14 @@ func (r *Rewriter) Mode() string {
 	}
 }
 
-// MemoLen returns the number of DP cells currently memoized — a proxy
-// for the rewriter's working-set size, exposed for observability.
+// MemoLen returns the number of DP cells currently memoized, across
+// both generations of the bounded memo — a proxy for the rewriter's
+// working-set size, exposed for observability. It never exceeds
+// 2·xpath.MemoBudget.
 func (r *Rewriter) MemoLen() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.memo)
+	return r.memo.Len()
 }
 
 func newRewriter(v *secview.View, dv *dtd.DTD, orig map[string]string) *Rewriter {
@@ -182,7 +138,7 @@ func newRewriter(v *secview.View, dv *dtd.DTD, orig map[string]string) *Rewriter
 		sigma:    make(map[[2]string]xpath.Path),
 		recReach: make(map[string][]string),
 		recPaths: make(map[string]map[string]xpath.Path),
-		memo:     make(map[memoKey]result),
+		memo:     xpath.NewMemo(),
 	}
 	for _, a := range dv.Types() {
 		c := dv.MustProduction(a)
@@ -213,20 +169,31 @@ func identityOrig(d *dtd.DTD) map[string]string {
 // p_t = rw(p, r) and simplifies it. A query that can select nothing on
 // any view instance rewrites to ∅.
 func (r *Rewriter) Rewrite(p xpath.Path) (xpath.Path, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	res := r.rw(p, r.dv.Root())
-	return xpath.Simplify(res.total()), nil
+	return r.rewrite(context.Background(), p)
 }
 
-// RewriteCtx is Rewrite with observability: when the context carries a
-// trace span, the rewrite is recorded as a child span carrying the
-// input and output query sizes, the memo working set, and (for unfolded
-// recursive views) the unfolding height. Without a span it is exactly
-// Rewrite plus one nil check.
+// rewrite interns p in one bottom-up pass and runs the DP from the view
+// root, polling ctx (when non-nil) every few cells.
+func (r *Rewriter) rewrite(ctx context.Context, p xpath.Path) (xpath.Path, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.memo.Begin(ctx)
+	res := r.rw(r.memo.Intern(p), r.memo.State(r.dv.Root()))
+	if err := r.memo.Err(); err != nil {
+		return nil, err
+	}
+	return xpath.Simplify(res.Total()), nil
+}
+
+// RewriteCtx is Rewrite honoring a context: the DP polls it every few
+// cells and returns ctx.Err() once it is done, storing no cell of the
+// cut-short call. When the context carries a trace span, the rewrite is
+// recorded as a child span carrying the input and output query sizes,
+// the memo working set, and (for unfolded recursive views) the
+// unfolding height.
 func (r *Rewriter) RewriteCtx(ctx context.Context, p xpath.Path) (xpath.Path, error) {
 	_, sp := obs.StartSpan(ctx, "rewrite")
-	pt, err := r.Rewrite(p)
+	pt, err := r.rewrite(ctx, p)
 	if sp != nil {
 		sp.SetAttr("input_size", xpath.Size(p))
 		if err == nil {
@@ -271,119 +238,133 @@ func (r *Rewriter) attrVisible(a, name string) bool {
 // no children and no σ edges.
 const textType = "#text"
 
-// rw computes the local translation rw(p', A) and reach(p', A); results
-// are memoized on (sub-query structure, node), which is exactly the
-// paper's DP table.
-func (r *Rewriter) rw(p xpath.Path, a string) result {
-	key := memoKey{p: p, a: a}
-	if res, ok := r.memo[key]; ok {
+// rw computes the local translation rw(p', A) and reach(p', A) for the
+// interned subtree i at view type a; results are memoized on (subtree
+// id, view type), which is exactly the paper's DP table.
+//
+// A cell keeps the local translation *per reach target*. Keeping
+// translations per target — rather than the single union rw(p', A) of
+// Fig. 6 — is what makes step composition sound: in p1/p2, the
+// continuation rewritten for target v is composed only onto the paths
+// that lead to v, so a qualifier that is, say, false at v1 but true at
+// v2 cannot leak across (see DESIGN.md, "Mixed-target step
+// composition"). The union of the per-target translations, Cell.Total,
+// is exactly the paper's rw(p', A).
+func (r *Rewriter) rw(i, a int32) xpath.Cell {
+	id := r.memo.Node(i).ID
+	if res, ok := r.memo.Cell(id, a); ok {
 		return res
 	}
-	res := r.compute(p, a)
-	sort.Strings(res.reach)
-	r.memo[key] = res
-	return res
+	if !r.memo.Compute() {
+		return nil
+	}
+	return r.memo.Store(id, a, r.compute(i, a))
 }
 
-func (r *Rewriter) compute(p xpath.Path, a string) result {
-	res := newResult()
-	switch p := p.(type) {
+func (r *Rewriter) compute(i, ai int32) xpath.Cell {
+	var res xpath.Cell
+	n := r.memo.Node(i)
+	a := r.memo.StateName(ai)
+	switch p := n.Path.(type) {
 	case xpath.Empty:
 		return res
 	case xpath.Self: // case 1
-		res.add(a, xpath.Self{})
-		return res
+		return res.Add(ai, xpath.Self{})
 	case xpath.Label: // case 2
 		if p.Name == xpath.TextName {
 			if sig, ok := r.sigma[[2]string{a, dtd.TextLabel}]; ok {
-				res.add(textType, sig)
+				res = res.Add(r.memo.State(textType), sig)
 			}
 			return res
 		}
 		for _, child := range r.children(a) {
 			if r.orig[child] == p.Name {
-				res.add(child, r.sigmaOf(a, child))
+				res = res.Add(r.memo.State(child), r.sigmaOf(a, child))
 			}
 		}
 		return res
 	case xpath.Wildcard: // case 3
 		for _, child := range r.children(a) {
-			res.add(child, r.sigmaOf(a, child))
+			res = res.Add(r.memo.State(child), r.sigmaOf(a, child))
 		}
 		return res
 	case xpath.Seq: // case 4, per target
-		r1 := r.rw(p.Left, a)
-		for _, v := range r1.reach {
-			r2 := r.rw(p.Right, v)
-			for _, w := range r2.reach {
-				res.add(w, xpath.MakeSeq(r1.byTarget[v], r2.byTarget[w]))
-			}
-		}
-		return res
+		return r.seq(n.L, n.R, ai)
 	case xpath.Descend: // case 5, per target
 		for _, b := range r.reachDescend(a) {
-			rb := r.rw(p.Sub, b)
-			for _, w := range rb.reach {
-				res.add(w, xpath.MakeSeq(r.recrw(a, b), rb.byTarget[w]))
+			for _, w := range r.rw(n.L, r.memo.State(b)) {
+				res = res.Add(w.State, xpath.MakeSeq(r.recrw(a, b), w.Plan))
 			}
 		}
 		return res
 	case xpath.Union: // case 6
-		for _, sub := range []xpath.Path{p.Left, p.Right} {
-			rs := r.rw(sub, a)
-			for _, w := range rs.reach {
-				res.add(w, rs.byTarget[w])
+		for _, sub := range [2]int32{n.L, n.R} {
+			for _, w := range r.rw(sub, ai) {
+				res = res.Add(w.State, w.Plan)
 			}
 		}
 		return res
 	case xpath.Qualified:
 		if _, ok := p.Sub.(xpath.Self); ok { // case 7: ε[q]
-			q := r.rwQual(p.Cond, a)
+			q := r.rwQual(n.R, ai)
 			if _, isFalse := q.(xpath.QFalse); isFalse {
 				return res
 			}
-			res.add(a, xpath.MakeQualified(xpath.Self{}, q))
-			return res
+			return res.Add(ai, xpath.MakeQualified(xpath.Self{}, q))
 		}
 		// p1[q] ≡ p1/ε[q]: case 4 then gives each reach target its own
 		// locally rewritten qualifier.
-		return r.rw(xpath.Seq{Left: p.Sub, Right: xpath.Qualified{Sub: xpath.Self{}, Cond: p.Cond}}, a)
+		return r.seq(n.L, r.memo.SelfQual(i), ai)
 	default:
 		return res
 	}
 }
 
-// rwQual rewrites a qualifier at view type A (Fig. 6 cases 8-12).
-func (r *Rewriter) rwQual(q xpath.Qual, a string) xpath.Qual {
-	switch q := q.(type) {
+// seq is case 4 for the subtrees l/r at view type a: the continuation
+// rewritten for each target v of l composes only onto l's paths to v.
+func (r *Rewriter) seq(l, rt, a int32) xpath.Cell {
+	var res xpath.Cell
+	for _, v := range r.rw(l, a) {
+		for _, w := range r.rw(rt, v.State) {
+			res = res.Add(w.State, xpath.MakeSeq(v.Plan, w.Plan))
+		}
+	}
+	return res
+}
+
+// rwQual rewrites the interned qualifier i at view type A (Fig. 6 cases
+// 8-12).
+func (r *Rewriter) rwQual(i, a int32) xpath.Qual {
+	n := r.memo.Node(i)
+	switch q := n.Qual.(type) {
 	case xpath.QTrue, xpath.QFalse:
 		return q
 	case xpath.QPath: // case 8
-		res := r.rw(q.Path, a)
-		if res.empty() {
+		res := r.rw(n.L, a)
+		if len(res) == 0 {
 			return xpath.QFalse{}
 		}
-		return xpath.QPath{Path: res.total()}
+		return xpath.QPath{Path: res.Total()}
 	case xpath.QEq: // case 9
-		res := r.rw(q.Path, a)
-		if res.empty() {
+		res := r.rw(n.L, a)
+		if len(res) == 0 {
 			return xpath.QFalse{}
 		}
-		return xpath.QEq{Path: res.total(), Value: q.Value, Var: q.Var}
+		return xpath.QEq{Path: res.Total(), Value: q.Value, Var: q.Var}
 	case xpath.QAnd: // case 10
-		return xpath.MakeAnd(r.rwQual(q.Left, a), r.rwQual(q.Right, a))
+		return xpath.MakeAnd(r.rwQual(n.L, a), r.rwQual(n.R, a))
 	case xpath.QOr: // case 11
-		return xpath.MakeOr(r.rwQual(q.Left, a), r.rwQual(q.Right, a))
+		return xpath.MakeOr(r.rwQual(n.L, a), r.rwQual(n.R, a))
 	case xpath.QNot: // case 12
-		return xpath.MakeNot(r.rwQual(q.Sub, a))
+		return xpath.MakeNot(r.rwQual(n.L, a))
 	case xpath.QAttrEq: // attribute extension: same attribute on the
 		// corresponding document node when the view exposes it
-		if r.attrVisible(a, q.Name) {
+		if r.attrVisible(r.memo.StateName(a), q.Name) {
 			return q
 		}
 		return xpath.QFalse{}
 	case xpath.QAttrHas:
-		if r.attrVisible(a, q.Name) {
+		if r.attrVisible(r.memo.StateName(a), q.Name) {
 			return q
 		}
 		return xpath.QFalse{}

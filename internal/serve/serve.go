@@ -416,11 +416,31 @@ type queryRequest struct {
 	timeout time.Duration
 }
 
+// maxFormBytes caps a /query or /explainz request body. A form that
+// large already holds a query far past anything the parser's depth
+// bound and the plan memos are sized for; without the cap, net/http's
+// 10 MB default for url-encoded bodies was the only one.
+const maxFormBytes = 1 << 20
+
+// errFormTooLarge reports a request body over maxFormBytes.
+var errFormTooLarge = fmt.Errorf("request body exceeds %d bytes", maxFormBytes)
+
 // parseQueryRequest validates the shared request parameters: class
 // (required), q (required), param=name=value (repeatable), timeout (Go
-// duration, clamped to Config.MaxTimeout).
-func (s *Server) parseQueryRequest(r *http.Request) (*queryRequest, error) {
+// duration, clamped to Config.MaxTimeout). A request body is read
+// through http.MaxBytesReader, so an oversized form fails with
+// errFormTooLarge after maxFormBytes and the connection is closed after
+// the answer. (A GET's parameters arrive in the request line, which the
+// server's header limit bounds, and it has no body to wrap.)
+func (s *Server) parseQueryRequest(w http.ResponseWriter, r *http.Request) (*queryRequest, error) {
+	if r.Body != nil && r.Body != http.NoBody {
+		r.Body = http.MaxBytesReader(w, r.Body, maxFormBytes)
+	}
 	if err := r.ParseForm(); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, errFormTooLarge
+		}
 		return nil, fmt.Errorf("malformed form: %v", err)
 	}
 	req := &queryRequest{
@@ -483,7 +503,7 @@ func requestCtx(r *http.Request, timeout time.Duration) (context.Context, contex
 // handleQuery answers one view query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	req, err := s.parseQueryRequest(r)
+	req, err := s.parseQueryRequest(w, r)
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -773,7 +793,7 @@ type explainzResponse struct {
 // a real measured duration, and the request is always traced regardless
 // of the sampling knob. Parameters are the same as /query.
 func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
-	req, err := s.parseQueryRequest(r)
+	req, err := s.parseQueryRequest(w, r)
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -923,6 +943,14 @@ func clientFault(err error) bool {
 
 func (s *Server) badRequest(w http.ResponseWriter, err error) {
 	s.badRequests.Add(1)
+	if errors.Is(err, errFormTooLarge) {
+		// Machine-readable, so a client can tell "shrink the request"
+		// from a query error.
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "limit_bytes": maxFormBytes})
+		return
+	}
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 

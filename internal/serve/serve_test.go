@@ -122,6 +122,48 @@ func TestDeepQueryRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedFormRejected: a /query or /explainz body over
+// maxFormBytes is cut off after the limit instead of being read in
+// full — the 11 MB form below passed net/http's own 10 MB default — and
+// answered 400 with a JSON error; the server then answers the next
+// request as usual.
+func TestOversizedFormRejected(t *testing.T) {
+	s := newTestServer(t, Config{}, 3)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	q := strings.Repeat("a/", 11<<20/2) + "a"
+	body := url.Values{"class": {"nurse"}, "param": {"wardNo=1"}, "q": {q}}.Encode()
+	for _, path := range []string{"/query", "/explainz"} {
+		resp, err := http.Post(srv.URL+path, "application/x-www-form-urlencoded", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var e struct {
+			Error      string `json:"error"`
+			LimitBytes int    `json:"limit_bytes"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s: status = %d, want 400", path, resp.StatusCode)
+		}
+		if derr != nil || e.Error == "" || e.LimitBytes != maxFormBytes {
+			t.Errorf("POST %s: body is not the JSON error (%v, %+v)", path, derr, e)
+		}
+		next, err := http.Get(srv.URL + "/query?class=nurse&param=wardNo=1&q=" + url.QueryEscape("//patient/name"))
+		if err != nil {
+			t.Fatalf("request after the oversized form: %v", err)
+		}
+		next.Body.Close()
+		if next.StatusCode != http.StatusOK {
+			t.Errorf("request after the oversized form: status = %d", next.StatusCode)
+		}
+	}
+	if got := s.Stats().Server.BadRequests; got != 2 {
+		t.Errorf("bad requests = %d, want 2", got)
+	}
+}
+
 // TestAdmissionControl: with MaxInFlight=2 and two requests pinned in
 // flight, a third is refused with 429 + Retry-After instead of queueing;
 // after the slots free up the server accepts work again.

@@ -13,8 +13,9 @@
 // concrete syntax ('.', names, '*', '/', '//', '|', '[...]', 'and', 'or',
 // 'not(...)'), a printer whose output re-parses to an equal AST, a
 // set-semantics evaluator over xmltree documents, algebraic
-// simplification, and the C⁻ conjunctive-fragment check used by the
-// optimizer.
+// simplification, the C⁻ conjunctive-fragment check used by the
+// optimizer, and the bounded DP memo (Memo) that rewrite and optimize
+// share.
 package xpath
 
 // Path is a node of the query AST for the fragment C.
