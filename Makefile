@@ -47,6 +47,20 @@ servebench-smoke:
 	cd servebench && $(GO) vet ./... && $(GO) test ./...
 	bash servebench/run.sh --workload hot-small --seed 1 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
+# examples-smoke runs every program under examples/ and fails unless
+# each exits 0 and the recursive example reports that the Section 4.2
+# unfold oracle returns the same nodes as the height-free plan.
+.PHONY: examples-smoke
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		out=$$($(GO) run ./$$d); \
+		if [ "$$d" = examples/recursive/ ]; then \
+			echo "$$out" | grep -q 'unfold oracle agrees: true' || \
+				{ echo "examples/recursive: unfold oracle does not agree"; exit 1; }; \
+		fi; \
+	done
+
 # loadsmoke drives the in-process hospital server through a short ramp
 # and fails (exit 2) if overload is reached without the admitted-latency
 # bound holding. CI runs this; `make loadbench` is the longer run that

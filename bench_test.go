@@ -612,7 +612,7 @@ func BenchmarkPlanCache(b *testing.B) {
 }
 
 // BenchmarkPlanCacheRecursive is the same comparison on a recursive
-// view, where a miss additionally pays the per-height unfolding.
+// view, where a miss additionally builds the height-free Rec plan.
 func BenchmarkPlanCacheRecursive(b *testing.B) {
 	p := xpath.MustParse("//b")
 	var build func(d int) *xmltree.Node

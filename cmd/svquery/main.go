@@ -210,8 +210,6 @@ func printStats(engine *core.Engine, show bool, qm *obs.QueryMetrics) {
 	fmt.Fprintf(os.Stderr, "queries:      %d (%d cancelled)\n", s.Queries, s.Cancelled)
 	fmt.Fprintf(os.Stderr, "plan cache:   %d hits, %d misses, %d evictions, %d/%d entries\n",
 		s.PlanCache.Hits, s.PlanCache.Misses, s.PlanCache.Evictions, s.PlanCache.Entries, s.PlanCache.Capacity)
-	fmt.Fprintf(os.Stderr, "height cache: %d hits, %d misses, %d evictions, %d/%d entries\n",
-		s.HeightCache.Hits, s.HeightCache.Misses, s.HeightCache.Evictions, s.HeightCache.Entries, s.HeightCache.Capacity)
 	fmt.Fprintf(os.Stderr, "evaluation:   %d sequential, %d indexed\n", s.SequentialEvals, s.IndexedEvals)
 	if s.AnswerCache.Capacity > 0 {
 		fmt.Fprintf(os.Stderr, "answer cache: %d hits, %d containment hits, %d misses, %d evictions, %d/%d entries\n",

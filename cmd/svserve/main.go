@@ -89,7 +89,6 @@ func main() {
 		eventLog    = flag.String("eventlog", "", "write a structured JSONL wide-event log to this file (replaces the plain slow-query log line)")
 		eventMax    = flag.Int64("eventlog-max-bytes", 0, "rotate the event log when it would exceed this size (0 = default; one predecessor file is kept)")
 		eventSample = flag.Int("eventlog-sample", 0, "also log one successful request in N (0 = errors and slow queries only)")
-		unfold      = flag.Bool("unfold-rewrite", false, "rewrite recursive views by unfolding to each document height (Section 4.2 oracle) instead of the default height-free automata")
 		classes     classFlags
 	)
 	flag.Var(&classes, "class", "define a user class from an annotation file, e.g. -class nurse=nurse.ann (repeatable)")
@@ -103,7 +102,6 @@ func main() {
 		IndexThreshold:      *indexMin,
 		AnswerCache:         *anscache,
 		AnswerCacheCapacity: *anscacheCap,
-		UnfoldRewrite:       *unfold,
 	}
 	reg, err := buildRegistry(*builtin, *dtdPath, classes, engineCfg)
 	if err != nil {

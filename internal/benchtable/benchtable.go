@@ -13,10 +13,13 @@
 // cell timings plus the naive/rewrite and rewrite/optimize speedups whose
 // shape Table 1 documents: rewrite beats naive by an order of magnitude
 // or more, optimize matches rewrite on Q1/Q2 (reported "-"), improves Q3,
-// and proves Q4 empty (zero evaluation).
+// and proves Q4 empty (zero evaluation). Each cell also records the
+// evaluator's nodes-visited count per approach, a deterministic axis for
+// the same shape.
 package benchtable
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -67,6 +70,11 @@ type Cell struct {
 	// Results is the number of nodes returned (identical across
 	// approaches by construction; the harness verifies it).
 	Results int
+	// NaiveVisits, RewriteVisits, and OptimizeVisits are the evaluator's
+	// nodes-visited ticks for one evaluation of each approach's query
+	// (xpath.EvalDocCtxCounted). Unlike the timings they are exact and
+	// repeatable, so they carry the shape gates.
+	NaiveVisits, RewriteVisits, OptimizeVisits uint64
 
 	RewrittenQuery string
 	OptimizedQuery string
@@ -190,6 +198,15 @@ func measure(cfg Config, rw *rewrite.Rewriter, opt *optimize.Optimizer, dsName, 
 		return total / time.Duration(cfg.Repeats)
 	}
 
+	for _, v := range []struct {
+		p   xpath.Path
+		out *uint64
+	}{{pn, &cell.NaiveVisits}, {pt, &cell.RewriteVisits}, {po, &cell.OptimizeVisits}} {
+		if _, *v.out, err = xpath.EvalDocCtxCounted(context.Background(), v.p, doc); err != nil {
+			return nil, fmt.Errorf("%s over %s: counted evaluation: %v", qname, dsName, err)
+		}
+	}
+
 	cell.Naive = timeEval(pn)
 	cell.Rewrite = timeEval(pt)
 	if cell.EmptyAfterOptimize {
@@ -228,8 +245,8 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&b, "  %s: %d nodes\n", n, r.Sizes[n])
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-5s %-4s %12s %12s %12s %10s %10s\n",
-		"Query", "Data", "Naive", "Rewrite", "Optimize", "N/R", "R/O")
+	fmt.Fprintf(&b, "%-5s %-4s %12s %12s %12s %10s %10s | %10s %10s %10s\n",
+		"Query", "Data", "Naive", "Rewrite", "Optimize", "N/R", "R/O", "N-visits", "R-visits", "O-visits")
 	for _, c := range r.Cells {
 		optCol := "-"
 		ratioRO := "-"
@@ -246,8 +263,9 @@ func (r *Report) Format() string {
 		if c.Rewrite > 0 {
 			ratioNR = fmt.Sprintf("%.1fx", float64(c.Naive)/float64(c.Rewrite))
 		}
-		fmt.Fprintf(&b, "%-5s %-4s %12s %12s %12s %10s %10s\n",
-			c.Query, c.DataSet, fmtDur(c.Naive), fmtDur(c.Rewrite), optCol, ratioNR, ratioRO)
+		fmt.Fprintf(&b, "%-5s %-4s %12s %12s %12s %10s %10s | %10d %10d %10d\n",
+			c.Query, c.DataSet, fmtDur(c.Naive), fmtDur(c.Rewrite), optCol, ratioNR, ratioRO,
+			c.NaiveVisits, c.RewriteVisits, c.OptimizeVisits)
 	}
 	return b.String()
 }

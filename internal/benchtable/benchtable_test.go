@@ -108,3 +108,35 @@ func TestRunIndexed(t *testing.T) {
 		}
 	}
 }
+
+// TestTable1ShapeOnVisits gates Table 1's shape on the evaluator's
+// nodes-visited counts, which are deterministic where wall times are
+// not: naive visits at least 10× what rewrite does, optimize never
+// visits more than rewrite, and Q4's optimized plan is proved empty.
+func TestTable1ShapeOnVisits(t *testing.T) {
+	report, err := Run(Config{
+		DataSets: []DataSet{{Name: "S", MaxRepeat: 400}, {Name: "L", MaxRepeat: 1500}},
+		Repeats:  1,
+		Seed:     1,
+		Verify:   true,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(report.Cells) != 8 {
+		t.Fatalf("got %d cells, want 8", len(report.Cells))
+	}
+	for _, c := range report.Cells {
+		t.Logf("%s/%s (%d nodes): naive %d, rewrite %d, optimize %d visits",
+			c.Query, c.DataSet, c.DocNodes, c.NaiveVisits, c.RewriteVisits, c.OptimizeVisits)
+		if c.RewriteVisits == 0 || c.NaiveVisits < 10*c.RewriteVisits {
+			t.Errorf("%s/%s: naive %d visits, want ≥ 10× rewrite's %d", c.Query, c.DataSet, c.NaiveVisits, c.RewriteVisits)
+		}
+		if c.OptimizeVisits > c.RewriteVisits {
+			t.Errorf("%s/%s: optimize %d visits > rewrite %d", c.Query, c.DataSet, c.OptimizeVisits, c.RewriteVisits)
+		}
+		if c.Query == "Q4" && !c.EmptyAfterOptimize {
+			t.Errorf("Q4/%s: optimized plan not proved empty: %q", c.DataSet, c.OptimizedQuery)
+		}
+	}
+}

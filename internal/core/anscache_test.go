@@ -272,7 +272,7 @@ func TestAnswerCacheProofParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prep, err := on.prepared(ctx, p, doc.Height())
+				prep, err := on.prepared(ctx, p)
 				if err != nil {
 					t.Fatal(err)
 				}

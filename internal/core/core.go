@@ -7,15 +7,13 @@
 // xpath) — the view itself is never materialized on the query path.
 //
 // On top of the paper's pipeline the engine adds a serving layer:
-// rewritten-and-optimized plans are kept in a bounded LRU plan cache, so
-// repeated queries skip the rewrite and optimize stages entirely;
-// recursive views rewrite height-free by default (one plan per query,
-// valid for documents of any height — see package rewrite), with the
-// Section 4.2 unfolding path available behind Config.UnfoldRewrite as a
-// differential oracle, whose per-height rewriters live in a second
-// bounded cache so adversarial height profiles cannot grow memory
-// without limit; and descendant queries over large compacted documents
-// are answered from a cached per-document label index (Config.Indexed).
+// rewritten-and-optimized plans are kept in a bounded LRU plan cache keyed
+// on the canonical query text, so repeated queries skip the rewrite and
+// optimize stages entirely; recursive views rewrite height-free (one plan
+// per query, valid for documents of any height — see package rewrite,
+// which keeps the Section 4.2 unfolding rewriter as a test oracle); and
+// descendant queries over large compacted documents are answered from a
+// cached per-document label index (Config.Indexed).
 package core
 
 import (
@@ -23,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -39,15 +36,13 @@ import (
 	"repro/internal/xpath"
 )
 
-// Default capacities for the engine's caches. Plans are small (an AST
-// per entry); per-height rewriters embed an unfolded DTD and are
-// bigger, so their cache is tighter; label indexes hold a posting-list
-// entry per document node, so the index cache is tightest — sized for
-// the handful of live documents a server actually queries.
+// Capacities of the engine's caches. Plans are small (an AST per entry);
+// label indexes hold a posting-list entry per document node, so the index
+// cache is far tighter — sized for the handful of live documents a server
+// actually queries.
 const (
-	DefaultPlanCacheCapacity   = 512
-	DefaultHeightCacheCapacity = 64
-	DefaultIndexCacheCapacity  = 16
+	DefaultPlanCacheCapacity  = 512
+	DefaultIndexCacheCapacity = 16
 	// DefaultAnswerCacheCapacity bounds the semantic answer cache
 	// (Config.AnswerCache): each entry pins a result node-set, so it sits
 	// between the plan cache (tiny entries) and the index cache (huge
@@ -67,14 +62,8 @@ const DefaultIndexThreshold = 512
 var ErrUnboundVars = errors.New("query has unbound variables")
 
 // Config tunes an engine's serving layer. The zero value gives the
-// defaults: bounded caches, sequential evaluation.
+// defaults: sequential evaluation, no answer cache.
 type Config struct {
-	// PlanCacheCapacity bounds the (query, height class) → Prepared
-	// cache. 0 means DefaultPlanCacheCapacity.
-	PlanCacheCapacity int
-	// HeightCacheCapacity bounds the per-height rewriter cache used by
-	// recursive views. 0 means DefaultHeightCacheCapacity.
-	HeightCacheCapacity int
 	// Indexed turns on indexed evaluation: the engine builds and caches
 	// a per-document label index (xpath.Index) and answers queries with
 	// descendant steps over compacted documents of at least
@@ -86,9 +75,6 @@ type Config struct {
 	// evaluation. 0 means DefaultIndexThreshold; negative forces the
 	// index on for tests.
 	IndexThreshold int
-	// IndexCacheCapacity bounds the per-document index cache. 0 means
-	// DefaultIndexCacheCapacity.
-	IndexCacheCapacity int
 	// AnswerCache turns on the semantic answer cache: evaluated result
 	// node-sets are cached per (engine epoch, document, optimized plan)
 	// and an incoming query is answered from a cached entry the
@@ -101,33 +87,6 @@ type Config struct {
 	// AnswerCacheCapacity bounds the answer cache. 0 means
 	// DefaultAnswerCacheCapacity.
 	AnswerCacheCapacity int
-	// UnfoldRewrite selects the Section 4.2 unfolding path for recursive
-	// views instead of the default height-free rewriting: plans are then
-	// built per document height class and cached per (query, height).
-	// Kept as the differential oracle for the height-free path; flat
-	// (non-recursive) views ignore it.
-	UnfoldRewrite bool
-}
-
-func (c Config) planCap() int {
-	if c.PlanCacheCapacity > 0 {
-		return c.PlanCacheCapacity
-	}
-	return DefaultPlanCacheCapacity
-}
-
-func (c Config) heightCap() int {
-	if c.HeightCacheCapacity > 0 {
-		return c.HeightCacheCapacity
-	}
-	return DefaultHeightCacheCapacity
-}
-
-func (c Config) indexCap() int {
-	if c.IndexCacheCapacity > 0 {
-		return c.IndexCacheCapacity
-	}
-	return DefaultIndexCacheCapacity
 }
 
 func (c Config) answerCap() int {
@@ -158,16 +117,12 @@ type Engine struct {
 	opt  *optimize.Optimizer
 	cfg  Config
 
-	// flat is the height-independent rewriter: every non-recursive view
-	// has one, and recursive views get a height-free one unless
-	// Config.UnfoldRewrite asked for the Section 4.2 oracle path. When
-	// nil (unfold mode), per-height rewriters are built on demand and
-	// kept in the bounded byHeight cache.
-	flat     *rewrite.Rewriter
-	byHeight *plancache.Cache[*rewrite.Rewriter]
+	// rw is the view's rewriter. It is height-independent: flat views
+	// need no height, and recursive views rewrite to Rec automata.
+	rw *rewrite.Rewriter
 
-	// plans caches rewritten-and-optimized queries by (query text,
-	// height class) so repeated queries skip rewrite+optimize.
+	// plans caches rewritten-and-optimized queries by canonical query
+	// text so repeated queries skip rewrite+optimize.
 	plans *plancache.Cache[*Prepared]
 
 	// indexes caches per-document label indexes, keyed by (epoch,
@@ -221,24 +176,21 @@ func FromView(view *secview.View) (*Engine, error) {
 
 // FromViewConfig is FromView with explicit serving-layer tuning.
 func FromViewConfig(view *secview.View, cfg Config) (*Engine, error) {
+	rw, err := rewrite.ForView(view)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		spec:     view.Spec,
-		view:     view,
-		opt:      optimize.New(view.Doc),
-		cfg:      cfg,
-		byHeight: plancache.New[*rewrite.Rewriter](cfg.heightCap()),
-		plans:    plancache.New[*Prepared](cfg.planCap()),
-		indexes:  plancache.New[*xpath.Index](cfg.indexCap()),
+		spec:    view.Spec,
+		view:    view,
+		opt:     optimize.New(view.Doc),
+		cfg:     cfg,
+		rw:      rw,
+		plans:   plancache.New[*Prepared](DefaultPlanCacheCapacity),
+		indexes: plancache.New[*xpath.Index](DefaultIndexCacheCapacity),
 	}
 	if cfg.AnswerCache {
 		e.answers = anscache.New(cfg.answerCap())
-	}
-	if !view.IsRecursive() || !cfg.UnfoldRewrite {
-		r, err := rewrite.ForView(view)
-		if err != nil {
-			return nil, err
-		}
-		e.flat = r
 	}
 	return e, nil
 }
@@ -277,44 +229,29 @@ func (e *Engine) BumpEpoch() {
 
 // RewriteMode names the engine's rewriting strategy: "flat" for a
 // non-recursive view, "height-free" for a recursive view rewritten via
-// Rec automata (the default), and "unfold" for the Section 4.2 oracle
-// path (Config.UnfoldRewrite). Surfaced in /explainz and /metricsz.
-func (e *Engine) RewriteMode() string {
-	if e.flat != nil {
-		return e.flat.Mode()
-	}
-	return "unfold"
-}
+// Rec automata. Surfaced in /explainz and /statsz.
+func (e *Engine) RewriteMode() string { return e.rw.Mode() }
 
-// Rewriter returns the query rewriter for documents of the given height.
-// The height is ignored except in unfold-oracle mode (Config.UnfoldRewrite
-// on a recursive view), where the view is unfolded to it per Section 4.2;
-// those per-height rewriters are cached with LRU eviction, so an
-// adversarial stream of documents with many distinct heights costs
-// repeated unfolds, never unbounded memory.
+// Rewriter returns the engine's query rewriter. The height is ignored:
+// every plan the engine builds is valid for documents of any height. It
+// stays in the signature for callers written against the Section 4.2
+// per-height API (rewrite.ForViewWithHeight is that oracle), and the
+// error is always nil.
 func (e *Engine) Rewriter(height int) (*rewrite.Rewriter, error) {
-	if e.flat != nil {
-		return e.flat, nil
-	}
-	return e.byHeight.GetOrCompute(strconv.Itoa(height), func() (*rewrite.Rewriter, error) {
-		return rewrite.ForViewWithHeight(e.view, height)
-	})
+	return e.rw, nil
 }
 
 // Rewrite translates a view query into the equivalent document query p_t.
-// Recursive views need the height of the document the query will run on.
+// The height is ignored (see Rewriter).
 func (e *Engine) Rewrite(p xpath.Path, height int) (xpath.Path, error) {
 	return e.RewriteCtx(context.Background(), p, height)
 }
 
 // RewriteCtx is Rewrite with observability: a context carrying a trace
-// span gets a "rewrite" child span (see rewrite.RewriteCtx).
+// span gets a "rewrite" child span (see rewrite.RewriteCtx). The height
+// is ignored (see Rewriter).
 func (e *Engine) RewriteCtx(ctx context.Context, p xpath.Path, height int) (xpath.Path, error) {
-	r, err := e.Rewriter(height)
-	if err != nil {
-		return nil, err
-	}
-	return r.RewriteCtx(ctx, p)
+	return e.rw.RewriteCtx(ctx, p)
 }
 
 // Optimize improves a document query using the document DTD's structural
@@ -324,20 +261,8 @@ func (e *Engine) Optimize(p xpath.Path) xpath.Path {
 	return e.opt.Optimize(p)
 }
 
-// heightClass maps a document height to the plan-cache key component.
-// With a height-independent rewriter (flat views, and recursive views in
-// the default height-free mode) every document shares one class — one
-// cache entry per query text; only the unfold oracle needs one plan per
-// height.
-func (e *Engine) heightClass(height int) int {
-	if e.flat != nil {
-		return 0
-	}
-	return height
-}
-
-// prepared returns the cached plan for (query, height class), building
-// and caching it on a miss; a build the context cuts short (see
+// prepared returns the cached plan for the query, keyed by its canonical
+// text, building and caching it on a miss; a build the context cuts short (see
 // QueryCtx) returns ctx.Err(). Queries with unbound $variables are
 // rejected up front: depending on the document they would either error
 // mid-evaluation or silently match nothing, and neither belongs in the
@@ -348,12 +273,11 @@ func (e *Engine) heightClass(height int) int {
 // the last Put wins (GetOrCompute singleflights, but this path wants
 // per-request metrics attribution, and a duplicate plan build is
 // harmless).
-func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepared, error) {
+func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, error) {
 	if vars := xpath.Vars(p); len(vars) > 0 {
 		return nil, fmt.Errorf("core: %w %v; bind them with xpath.BindVars before querying", ErrUnboundVars, vars)
 	}
-	text := xpath.String(p)
-	key := strconv.Itoa(e.heightClass(height)) + "\x00" + text
+	key := xpath.String(p)
 	qm := obs.QueryMetricsFromContext(ctx)
 	if prep, ok := e.plans.Get(key); ok {
 		if qm != nil {
@@ -368,7 +292,7 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepa
 	}
 	obs.SpanFromContext(ctx).SetAttr("plan_cache", "miss")
 	start := time.Now()
-	pt, err := e.RewriteCtx(ctx, p, height)
+	pt, err := e.rw.RewriteCtx(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -382,9 +306,6 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepa
 		qm.Optimize = time.Since(rewriteDone)
 		qm.RewrittenSize = xpath.Size(pt)
 		qm.OptimizedSize = xpath.Size(po)
-		if e.flat == nil {
-			qm.UnfoldHeight = height
-		}
 		if qm.CaptureQueries {
 			qm.Rewritten = xpath.String(pt)
 			qm.Optimized = xpath.String(po)
@@ -398,9 +319,8 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepa
 // Query answers a view query over a document: rewrite, optimize, and
 // evaluate over the original tree. The result contains exactly the
 // document nodes the policy exposes to the query. Plans are served from
-// the engine's cache when the same query text was answered before (for
-// recursive views: at the same document height), and malformed or
-// unbound-variable queries return an error rather than panicking.
+// the engine's cache when the same query text was answered before, and
+// malformed or unbound-variable queries return an error rather than panicking.
 func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
 	return e.QueryCtx(context.Background(), doc, p)
 }
@@ -420,7 +340,7 @@ func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, er
 // result is then cached). Hits report eval mode "cached".
 func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
 	e.queries.Add(1)
-	prep, err := e.prepared(ctx, p, doc.Height())
+	prep, err := e.prepared(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -605,12 +525,10 @@ type Explain struct {
 	EvalMode     string `json:"eval_mode"`
 	NodesVisited uint64 `json:"nodes_visited,omitempty"`
 	ResultCount  int    `json:"result_count"`
-	// DocHeight is the document's height; UnfoldHeight is the height a
-	// recursive view was unfolded to for this document (0 outside
-	// unfold-oracle mode); RecursiveView flags the view DTD as recursive;
-	// RewriteMode is the engine's rewriting strategy (Engine.RewriteMode).
+	// DocHeight is the document's height; RecursiveView flags the view
+	// DTD as recursive; RewriteMode is the engine's rewriting strategy
+	// (Engine.RewriteMode).
 	DocHeight     int    `json:"doc_height"`
-	UnfoldHeight  int    `json:"unfold_height,omitempty"`
 	RecursiveView bool   `json:"recursive_view"`
 	RewriteMode   string `json:"rewrite_mode"`
 	// PlanWasCached reports whether the serving path would have hit the
@@ -635,20 +553,15 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 		return nil, fmt.Errorf("core: %w %v; bind them with xpath.BindVars before querying", ErrUnboundVars, vars)
 	}
 	e.queries.Add(1)
-	height := doc.Height()
 	ex := &Explain{
 		Query:         xpath.String(p),
-		DocHeight:     height,
+		DocHeight:     doc.Height(),
 		RecursiveView: e.view.IsRecursive(),
 		RewriteMode:   e.RewriteMode(),
 	}
-	key := strconv.Itoa(e.heightClass(height)) + "\x00" + ex.Query
-	_, ex.PlanWasCached = e.plans.Get(key)
-	if e.flat == nil {
-		ex.UnfoldHeight = height
-	}
+	_, ex.PlanWasCached = e.plans.Get(ex.Query)
 	start := time.Now()
-	pt, err := e.RewriteCtx(ctx, p, height)
+	pt, err := e.rw.RewriteCtx(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -664,7 +577,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	ex.Optimized = xpath.String(po)
 	ex.OptimizedSize = xpath.Size(po)
 	prep := &Prepared{Source: p, Rewritten: pt, Optimized: po, optimizedText: ex.Optimized}
-	e.plans.Put(key, prep)
+	e.plans.Put(ex.Query, prep)
 	var img *optimize.Image
 	if e.answers != nil {
 		// Probe the answer cache for the report, then evaluate fresh
@@ -712,24 +625,13 @@ type Stats struct {
 	// Cancelled counts queries that returned a context error (deadline
 	// exceeded or caller cancellation) mid-evaluation.
 	Cancelled uint64 `json:"cancelled"`
-	// PlanCache reports the (query, height class) → plan cache.
+	// PlanCache reports the query text → plan cache; its Entries count
+	// the distinct cached query texts.
 	PlanCache plancache.Stats `json:"plan_cache"`
-	// PlanCacheQueries counts the distinct query texts in the plan cache
-	// and PlanCacheHeightClasses the distinct height classes; Entries in
-	// PlanCache counts (query, height class) pairs. A height-independent
-	// rewriter keeps exactly one class, so Queries == Entries; the unfold
-	// oracle holds one entry per (query, height), which these two fields
-	// stopped conflating.
-	PlanCacheQueries       int `json:"plan_cache_queries"`
-	PlanCacheHeightClasses int `json:"plan_cache_height_classes"`
 	// PlanCacheNodes sums the AST size of every cached optimized plan —
-	// the memory-side view of the height-free win: with the unfold
-	// oracle it grows with both the number of height classes and the
-	// per-plan unfolding depth; height-free it tracks query count only.
+	// the memory side of the plan cache. Plans are height-independent,
+	// so it tracks the cached queries, not the documents' heights.
 	PlanCacheNodes int `json:"plan_cache_nodes"`
-	// HeightCache reports the per-height rewriter cache (recursive
-	// views only; empty for flat views).
-	HeightCache plancache.Stats `json:"height_cache"`
 	// IndexCache reports the per-document label index cache (indexed
 	// mode only; empty otherwise).
 	IndexCache plancache.Stats `json:"index_cache"`
@@ -755,53 +657,40 @@ type Stats struct {
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	rules, pruned := e.opt.Stats()
-	queries, classes, nodes := e.planCacheBreakdown()
 	var ans anscache.Stats
 	if e.answers != nil {
 		ans = e.answers.Stats()
 	}
 	return Stats{
-		AnswerCache:            ans,
-		Epoch:                  e.epoch.Load(),
-		Queries:                e.queries.Load(),
-		Cancelled:              e.cancelled.Load(),
-		PlanCache:              e.plans.Stats(),
-		PlanCacheQueries:       queries,
-		PlanCacheHeightClasses: classes,
-		PlanCacheNodes:         nodes,
-		HeightCache:            e.byHeight.Stats(),
-		IndexCache:             e.indexes.Stats(),
-		SequentialEvals:        e.sequentialEvals.Load(),
-		IndexedEvals:           e.indexedEvals.Load(),
-		OrdinalEvals:           e.ordinalEvals.Load(),
-		OptimizeRules:          rules,
-		OptimizePruned:         pruned,
+		AnswerCache:     ans,
+		Epoch:           e.epoch.Load(),
+		Queries:         e.queries.Load(),
+		Cancelled:       e.cancelled.Load(),
+		PlanCache:       e.plans.Stats(),
+		PlanCacheNodes:  e.planCacheNodes(),
+		IndexCache:      e.indexes.Stats(),
+		SequentialEvals: e.sequentialEvals.Load(),
+		IndexedEvals:    e.indexedEvals.Load(),
+		OrdinalEvals:    e.ordinalEvals.Load(),
+		OptimizeRules:   rules,
+		OptimizePruned:  pruned,
 	}
 }
 
-// planCacheBreakdown walks the plan cache and counts distinct query
-// texts, distinct height classes, and total optimized-plan AST nodes
-// across its entries. Point-in-time like the rest of Stats: concurrent
-// Puts/evictions may be missed.
-func (e *Engine) planCacheBreakdown() (queries, classes, nodes int) {
-	qs := make(map[string]bool)
-	cs := make(map[string]bool)
-	e.plans.Each(func(key string, prep *Prepared) {
-		class, text, ok := strings.Cut(key, "\x00")
-		if !ok {
-			return
-		}
-		qs[text] = true
-		cs[class] = true
+// planCacheNodes sums the optimized-plan AST sizes across the plan
+// cache. Point-in-time like the rest of Stats: concurrent Puts and
+// evictions may be missed.
+func (e *Engine) planCacheNodes() (nodes int) {
+	e.plans.Each(func(_ string, prep *Prepared) {
 		nodes += xpath.Size(prep.Optimized)
 	})
-	return len(qs), len(cs), nodes
+	return nodes
 }
 
 // Prepared is a view query rewritten and optimized once, reusable across
-// documents sharing its height class (every document for non-recursive
-// views; same-height documents for recursive ones). Engine.Query keeps
-// these in its plan cache; Prepare hands one out directly.
+// every document the engine serves (plans are height-independent).
+// Engine.Query keeps these in its plan cache; Prepare hands one out
+// directly.
 type Prepared struct {
 	// Source is the original view query.
 	Source xpath.Path
@@ -825,15 +714,10 @@ func (q *Prepared) optText() string {
 }
 
 // Prepare rewrites and optimizes a view query once, so frontends can
-// amortize translation across many documents and evaluations. It is
-// available whenever rewriting is height-independent — always, except
-// for a recursive view in unfold-oracle mode (Config.UnfoldRewrite),
-// whose plans depend on each document's height; use Engine.Query then.
+// amortize translation across many documents and evaluations. It shares
+// the plan cache with Query.
 func (e *Engine) Prepare(p xpath.Path) (*Prepared, error) {
-	if e.flat == nil {
-		return nil, fmt.Errorf("core: Prepare needs a height-independent rewriter; the unfold oracle (Config.UnfoldRewrite) plans per document height — use Query, or Rewrite with the height")
-	}
-	return e.prepared(context.Background(), p, 0)
+	return e.prepared(context.Background(), p)
 }
 
 // PrepareString parses and prepares in one step.

@@ -115,34 +115,6 @@ func TestEngineRecursiveRewriterHeightFree(t *testing.T) {
 	}
 }
 
-func TestEngineRecursiveRewriterCacheUnfold(t *testing.T) {
-	e, err := NewWithConfig(dtds.Fig7Spec(), Config{UnfoldRewrite: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := e.RewriteMode(); got != "unfold" {
-		t.Errorf("RewriteMode = %q, want unfold", got)
-	}
-	r1, err := e.Rewriter(5)
-	if err != nil {
-		t.Fatalf("Rewriter(5): %v", err)
-	}
-	r2, err := e.Rewriter(5)
-	if err != nil {
-		t.Fatalf("Rewriter(5) again: %v", err)
-	}
-	if r1 != r2 {
-		t.Errorf("per-height rewriter not cached")
-	}
-	r3, err := e.Rewriter(9)
-	if err != nil {
-		t.Fatalf("Rewriter(9): %v", err)
-	}
-	if r1 == r3 {
-		t.Errorf("different heights share a rewriter")
-	}
-}
-
 func TestEngineNonRecursiveIgnoresHeight(t *testing.T) {
 	e := nurseEngine(t, "6")
 	r1, _ := e.Rewriter(1)
@@ -203,21 +175,14 @@ func TestPreparedQueries(t *testing.T) {
 }
 
 func TestPrepareRecursiveView(t *testing.T) {
-	// Height-free mode (default) can prepare over a recursive view; the
-	// unfold oracle cannot — its plans depend on the document height.
+	// Height-free plans are document-independent, so a recursive view
+	// can be prepared once.
 	e, err := New(dtds.Fig7Spec())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if _, err := e.PrepareString("//b"); err != nil {
 		t.Errorf("height-free Prepare: %v", err)
-	}
-	eo, err := NewWithConfig(dtds.Fig7Spec(), Config{UnfoldRewrite: true})
-	if err != nil {
-		t.Fatalf("New(unfold): %v", err)
-	}
-	if _, err := eo.PrepareString("//b"); err == nil {
-		t.Errorf("unfold-oracle engine prepared a recursive view")
 	}
 }
 
@@ -248,8 +213,8 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentRecursive exercises the per-height rewriter cache
-// under parallel access.
+// TestEngineConcurrentRecursive exercises the recursive view's rewriter
+// under parallel access at several document heights.
 func TestEngineConcurrentRecursive(t *testing.T) {
 	e, err := New(dtds.Fig7Spec())
 	if err != nil {

@@ -9,9 +9,11 @@ package core
 // as the hospital sweep pin the answer down: the materialized view
 // (definitional, any query) and the §6 naive annotation semantics
 // (sound here for descendant-axis queries; the generated DTDs also have
-// unique element labels). A third comparison runs the identical engine
-// configuration with the unfold oracle enabled, closing the loop with
-// the rewrite-level differential harness at the engine level.
+// unique element labels). A third comparison answers each query through
+// the Section 4.2 unfolding rewriter (rewrite.ForViewWithHeight at the
+// document's height, then the engine's optimizer and the plain
+// evaluator), closing the loop with the rewrite-level differential
+// harness at the engine level.
 
 import (
 	"math/rand"
@@ -20,6 +22,7 @@ import (
 
 	"repro/internal/dtds"
 	"repro/internal/naive"
+	"repro/internal/rewrite"
 	"repro/internal/xmlgen"
 	"repro/internal/xpath"
 )
@@ -50,7 +53,7 @@ var deepDescendantQueries = []string{
 // TestInvariantDeepRecursivePolicies sweeps randomized recursive
 // (DTD, policy) pairs on documents of height ≥ 20 and checks the
 // height-free engine against the materialized view, the naive
-// annotation baseline, and an unfold-oracle engine.
+// annotation baseline, and the unfold oracle.
 func TestInvariantDeepRecursivePolicies(t *testing.T) {
 	const trials = 60
 	tested, deep, derivationFailed, materializeFailed := 0, 0, 0, 0
@@ -69,16 +72,16 @@ func TestInvariantDeepRecursivePolicies(t *testing.T) {
 			derivationFailed++
 			continue
 		}
-		unfoldEngine, err := NewWithConfig(spec, Config{UnfoldRewrite: true})
-		if err != nil {
-			t.Fatalf("trial %d: unfold engine rejected a spec the height-free engine accepted: %v", trial, err)
-		}
-		if e.RewriteMode() == "unfold" || unfoldEngine.RewriteMode() == "flat" {
-			t.Fatalf("trial %d: engine modes inverted: %q / %q", trial, e.RewriteMode(), unfoldEngine.RewriteMode())
-		}
 		doc := xmlgen.Generate(spec.D, xmlgen.Config{
 			Seed: trial, MinRepeat: 1, MaxRepeat: 2, MaxDepth: 24, MaxNodes: 2500,
 		})
+		oracle, err := rewrite.ForViewWithHeight(e.View(), doc.Height())
+		if err != nil {
+			t.Fatalf("trial %d: unfold oracle rejected a view the height-free engine accepted: %v", trial, err)
+		}
+		if e.RewriteMode() != "height-free" || oracle.Mode() != "unfold" {
+			t.Fatalf("trial %d: rewriting modes inverted: engine %q / oracle %q", trial, e.RewriteMode(), oracle.Mode())
+		}
 		if doc.Height() >= 20 {
 			deep++
 		}
@@ -102,14 +105,15 @@ func TestInvariantDeepRecursivePolicies(t *testing.T) {
 					trial, doc.Height(), q, len(want), len(got), spec)
 			}
 		}
-		// Engine-level unfold cross-check on the descendant-free shapes
-		// (unfolding a // at height 20+ is the very blowup the default
-		// mode exists to avoid).
+		// Unfold cross-check on the descendant-free shapes (unfolding a //
+		// at height 20+ is the very blowup height-free rewriting exists to
+		// avoid).
 		for _, q := range deepViewQueries {
-			want, err := unfoldEngine.QueryString(doc, q)
+			pt, err := oracle.Rewrite(xpath.MustParse(q))
 			if err != nil {
-				t.Fatalf("trial %d (h=%d): unfold query %q: %v", trial, doc.Height(), q, err)
+				t.Fatalf("trial %d (h=%d): unfold rewrite %q: %v", trial, doc.Height(), q, err)
 			}
+			want := xpath.EvalDoc(e.Optimize(pt), doc)
 			got, err := e.QueryString(doc, q)
 			if err != nil {
 				t.Fatalf("trial %d (h=%d): height-free query %q: %v", trial, doc.Height(), q, err)

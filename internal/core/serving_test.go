@@ -64,43 +64,8 @@ func TestPlanCacheHits(t *testing.T) {
 	}
 }
 
-// TestPlanCacheRecursiveHeightClasses: the unfold oracle caches one plan
-// per (query, document height); height-free mode collapses all heights
-// into one entry per query.
-func TestPlanCacheRecursiveHeightClasses(t *testing.T) {
-	e, err := NewWithConfig(dtds.Fig7Spec(), Config{UnfoldRewrite: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	d3, d5 := fig7Doc(1), fig7Doc(2)
-	for _, doc := range []*xmltree.Document{d3, d5, d3, d5} {
-		if _, err := e.QueryString(doc, "//b"); err != nil {
-			t.Fatalf("QueryString: %v", err)
-		}
-	}
-	s := e.Stats()
-	if s.PlanCache.Entries != 2 {
-		t.Errorf("entries = %d, want 2 (one per height class)", s.PlanCache.Entries)
-	}
-	if s.PlanCache.Hits != 2 || s.PlanCache.Misses != 2 {
-		t.Errorf("hits/misses = %d/%d, want 2/2", s.PlanCache.Hits, s.PlanCache.Misses)
-	}
-	if s.PlanCacheQueries != 1 || s.PlanCacheHeightClasses != 2 {
-		t.Errorf("breakdown = %d queries / %d classes, want 1/2",
-			s.PlanCacheQueries, s.PlanCacheHeightClasses)
-	}
-	// The recursive answers must still be right: every b is visible.
-	got, err := e.QueryString(d5, "//b")
-	if err != nil {
-		t.Fatalf("QueryString: %v", err)
-	}
-	if len(got) != 3 {
-		t.Errorf("//b over depth-2 doc = %d nodes, want 3", len(got))
-	}
-}
-
-// TestPlanCacheHeightFreeCollapsesClasses: the same workload in the
-// default height-free mode keeps one cache entry for both heights.
+// TestPlanCacheHeightFreeCollapsesClasses: a recursive view keeps one
+// plan-cache entry per query text across documents of different heights.
 func TestPlanCacheHeightFreeCollapsesClasses(t *testing.T) {
 	e, err := New(dtds.Fig7Spec())
 	if err != nil {
@@ -119,10 +84,6 @@ func TestPlanCacheHeightFreeCollapsesClasses(t *testing.T) {
 	if s.PlanCache.Hits != 3 || s.PlanCache.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 3/1", s.PlanCache.Hits, s.PlanCache.Misses)
 	}
-	if s.PlanCacheQueries != 1 || s.PlanCacheHeightClasses != 1 {
-		t.Errorf("breakdown = %d queries / %d classes, want 1/1",
-			s.PlanCacheQueries, s.PlanCacheHeightClasses)
-	}
 	got, err := e.QueryString(d5, "//b")
 	if err != nil {
 		t.Fatalf("QueryString: %v", err)
@@ -132,29 +93,31 @@ func TestPlanCacheHeightFreeCollapsesClasses(t *testing.T) {
 	}
 }
 
-// TestByHeightCapRegression: adversarial clients submitting documents
-// of many distinct heights must not grow the per-height rewriter map
-// without bound.
-func TestByHeightCapRegression(t *testing.T) {
-	e, err := NewWithConfig(dtds.Fig7Spec(), Config{HeightCacheCapacity: 4, UnfoldRewrite: true})
-	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
+// TestWarmPlanHitAllocs: a warm plan-cache hit allocates no more than
+// the variable check and the canonical print it must do anyway — the
+// cache key is the printed query itself, so keying costs nothing extra.
+func TestWarmPlanHitAllocs(t *testing.T) {
+	e := nurseEngine(t, "1")
+	p := xpath.MustParse("//patient/name")
+	ctx := context.Background()
+	if _, err := e.prepared(ctx, p); err != nil {
+		t.Fatalf("prepared: %v", err)
 	}
-	for h := 2; h < 40; h++ {
-		if _, err := e.Rewriter(h); err != nil {
-			t.Fatalf("Rewriter(%d): %v", h, err)
+	var sinkVars []string
+	var sinkText string
+	hit := testing.AllocsPerRun(100, func() {
+		if _, err := e.prepared(ctx, p); err != nil {
+			t.Fatal(err)
 		}
+	})
+	vars := testing.AllocsPerRun(100, func() { sinkVars = xpath.Vars(p) })
+	text := testing.AllocsPerRun(100, func() { sinkText = xpath.String(p) })
+	_, _ = sinkVars, sinkText
+	if hit > vars+text {
+		t.Errorf("warm plan hit: %.0f allocs, want ≤ Vars %.0f + String %.0f", hit, vars, text)
 	}
-	s := e.Stats()
-	if s.HeightCache.Entries > 4 {
-		t.Errorf("height cache grew to %d entries, cap 4", s.HeightCache.Entries)
-	}
-	if s.HeightCache.Evictions == 0 {
-		t.Errorf("no evictions recorded despite 38 distinct heights")
-	}
-	// The cap must not change answers: re-request an evicted height.
-	if _, err := e.Rewriter(2); err != nil {
-		t.Errorf("Rewriter(2) after eviction: %v", err)
+	if s := e.Stats(); s.PlanCache.Misses != 1 || s.PlanCache.Entries != 1 {
+		t.Errorf("warm runs missed the plan cache: %+v", s.PlanCache)
 	}
 }
 
@@ -181,9 +144,9 @@ func TestQueryUnboundVarReturnsError(t *testing.T) {
 func TestConcurrentQueriesFlatAndRecursive(t *testing.T) {
 	flat := nurseEngine(t, "1")
 	flatDoc := dtds.GenerateHospital(7, 4)
-	// Unfold-oracle mode so the per-height rewriter cache is exercised
-	// under concurrency too (height-free mode never touches it).
-	rec, err := NewWithConfig(dtds.Fig7Spec(), Config{UnfoldRewrite: true})
+	// The recursive engine shares one height-free plan across documents
+	// of three heights.
+	rec, err := New(dtds.Fig7Spec())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -218,8 +181,8 @@ func TestConcurrentQueriesFlatAndRecursive(t *testing.T) {
 	if fs.PlanCache.Hits == 0 || rs.PlanCache.Hits == 0 {
 		t.Errorf("no plan-cache hits under concurrency: flat %+v recursive %+v", fs.PlanCache, rs.PlanCache)
 	}
-	if rs.HeightCache.Entries == 0 {
-		t.Errorf("recursive engine cached no rewriters")
+	if rs.PlanCache.Entries != 1 {
+		t.Errorf("recursive engine cached %d plans for //b, want 1", rs.PlanCache.Entries)
 	}
 }
 

@@ -70,9 +70,6 @@ type QueryMetrics struct {
 	// queries (xpath.Size), recorded on plan build and on explain.
 	RewrittenSize int
 	OptimizedSize int
-	// UnfoldHeight is the document height a recursive view was unfolded
-	// to (0 for non-recursive views).
-	UnfoldHeight int
 
 	// PlanText is the optimized-plan text of the plan that served the
 	// request — the normalization the answer cache keys on, and (paired

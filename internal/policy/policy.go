@@ -204,8 +204,8 @@ type BindingStats struct {
 	// Binding is the canonical parameter binding ("" for parameterless
 	// classes, "wardNo=6;" style otherwise).
 	Binding string `json:"binding"`
-	// RewriteMode is the engine's rewriting strategy ("flat",
-	// "height-free", or "unfold"; see core.Engine.RewriteMode).
+	// RewriteMode is the engine's rewriting strategy ("flat" or
+	// "height-free"; see core.Engine.RewriteMode).
 	RewriteMode string     `json:"rewrite_mode"`
 	Engine      core.Stats `json:"engine"`
 }

@@ -96,9 +96,9 @@ func TestRegistryConcurrentQueries(t *testing.T) {
 }
 
 // TestRegistryEngineConfigPropagates: registry-level engine config
-// reaches derived engines (observable through their plan caches).
+// reaches derived engines (observable through their answer caches).
 func TestRegistryEngineConfigPropagates(t *testing.T) {
-	r := NewRegistryWithConfig(dtds.Hospital(), 0, core.Config{PlanCacheCapacity: 7})
+	r := NewRegistryWithConfig(dtds.Hospital(), 0, core.Config{AnswerCache: true, AnswerCacheCapacity: 7})
 	if _, err := r.Define("nurse", dtds.NurseSpecSource); err != nil {
 		t.Fatalf("Define: %v", err)
 	}
@@ -107,8 +107,8 @@ func TestRegistryEngineConfigPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Engine: %v", err)
 	}
-	if got := e.Stats().PlanCache.Capacity; got != 7 {
-		t.Errorf("plan cache capacity = %d, want 7", got)
+	if got := e.Stats().AnswerCache.Capacity; got != 7 {
+		t.Errorf("answer cache capacity = %d, want 7", got)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -162,6 +163,7 @@ type Server struct {
 	rejected       atomic.Uint64
 	timeouts       atomic.Uint64
 	clientCancels  atomic.Uint64
+	panics         atomic.Uint64
 	inFlight       atomic.Int64
 	lat            latency.Digest
 	started        time.Time
@@ -241,6 +243,7 @@ func (s *Server) registerMetrics() {
 	m.CounterFunc("sv_responses_total", respHelp, s.internalErrors.Load, obs.L("code", "500"))
 	m.CounterFunc("sv_responses_total", respHelp, s.timeouts.Load, obs.L("code", "504"))
 	m.CounterFunc("sv_explains_total", "/explainz requests admitted.", s.explains.Load)
+	m.CounterFunc("sv_panics_total", "Handler panics recovered (answered 500 when no header had been written).", s.panics.Load)
 	m.CounterFunc("sv_slow_queries_total", "Admitted queries slower than the slow-query threshold.", s.slowQueries.Load)
 	m.GaugeFunc("sv_in_flight", "Queries currently holding an admission slot.", func() float64 {
 		return float64(s.inFlight.Load())
@@ -304,22 +307,7 @@ func (s *Server) registerMetrics() {
 		ansSum(func(a anscache.Stats) uint64 { return a.Misses }))
 	m.CounterFunc("sv_anscache_evictions_total", "Answer-cache entries evicted by the LRU bound.",
 		ansSum(func(a anscache.Stats) uint64 { return a.Evictions }))
-	const rwHelp = "Cached policy engines by rewriting strategy (flat, height-free, unfold)."
-	for _, mode := range []string{"flat", "height-free", "unfold"} {
-		mode := mode
-		m.GaugeFunc("sv_engines_by_rewrite_mode", rwHelp, func() float64 {
-			n := 0
-			for _, cs := range s.reg.Stats() {
-				for _, b := range cs.Bindings {
-					if b.RewriteMode == mode {
-						n++
-					}
-				}
-			}
-			return float64(n)
-		}, obs.L("mode", mode))
-	}
-	m.GaugeFunc("sv_plan_cache_nodes", "Total AST nodes across all cached optimized plans (all classes and bindings) — grows with document height under the unfold oracle, height-independent in height-free mode.", func() float64 {
+	m.GaugeFunc("sv_plan_cache_nodes", "Total AST nodes across all cached optimized plans (all classes and bindings); plans are height-independent, so this tracks the cached queries.", func() float64 {
 		n := 0
 		for _, cs := range s.reg.Stats() {
 			for _, b := range cs.Bindings {
@@ -328,11 +316,11 @@ func (s *Server) registerMetrics() {
 		}
 		return float64(n)
 	})
-	m.GaugeFunc("sv_plan_cache_distinct_queries", "Distinct query texts across all cached plans; equals total entries exactly when no height-class splitting occurs.", func() float64 {
+	m.GaugeFunc("sv_plan_cache_distinct_queries", "Distinct query texts across all cached plans (all classes and bindings).", func() float64 {
 		n := 0
 		for _, cs := range s.reg.Stats() {
 			for _, b := range cs.Bindings {
-				n += b.Engine.PlanCacheQueries
+				n += b.Engine.PlanCache.Entries
 			}
 		}
 		return float64(n)
@@ -405,8 +393,55 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return s.recoverPanics(mux)
 }
+
+// recoverPanics wraps h so that a panicking handler is counted in
+// sv_panics_total and logged with its stack, and — when it had not yet
+// written a header — answered 500 with a JSON error body, instead of
+// net/http's default of dropping the connection. http.ErrAbortHandler
+// is net/http's own abort signal and passes through untouched.
+func (s *Server) recoverPanics(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hw := &headerWatch{ResponseWriter: w}
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			s.panics.Add(1)
+			s.logf("svserve: panic serving %s: %v\n%s", r.URL.Path, v, debug.Stack())
+			if !hw.wrote {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusInternalServerError)
+				json.NewEncoder(w).Encode(map[string]string{"error": "internal server error"})
+			}
+		}()
+		h.ServeHTTP(hw, r)
+	})
+}
+
+// headerWatch records whether a handler has started its response.
+type headerWatch struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (h *headerWatch) WriteHeader(code int) {
+	h.wrote = true
+	h.ResponseWriter.WriteHeader(code)
+}
+
+func (h *headerWatch) Write(b []byte) (int, error) {
+	h.wrote = true
+	return h.ResponseWriter.Write(b)
+}
+
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (h *headerWatch) Unwrap() http.ResponseWriter { return h.ResponseWriter }
 
 // queryRequest is one parsed /query or /explainz request.
 type queryRequest struct {

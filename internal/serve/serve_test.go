@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -419,5 +420,64 @@ func TestTimeoutClamp(t *testing.T) {
 	w = get(t, h, "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//name")+"&timeout=10s")
 	if w.Code != http.StatusGatewayTimeout {
 		t.Errorf("clamped explicit: status = %d, want 504", w.Code)
+	}
+}
+
+// TestRecoverPanics: a handler panic wrapped by the server's middleware
+// is answered 500 with a JSON error when no header was written yet, is
+// counted in sv_panics_total and logged with its stack, and the next
+// request is served as usual. A panic after the header went out keeps
+// the status already sent.
+func TestRecoverPanics(t *testing.T) {
+	var logged []string
+	s := newTestServer(t, Config{Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}}, 4)
+	h := s.recoverPanics(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("mode") {
+		case "early":
+			panic("boom before the header")
+		case "late":
+			w.WriteHeader(http.StatusAccepted)
+			panic("boom after the header")
+		}
+		io.WriteString(w, "ok")
+	}))
+
+	w := get(t, h, "/x?mode=early")
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("early panic: status %d, want 500", w.Code)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Errorf("early panic: body %q is not a JSON error (%v)", w.Body.String(), err)
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "boom before the header") || !strings.Contains(logged[0], "goroutine") {
+		t.Errorf("panic not logged with its stack: %q", logged)
+	}
+
+	if w := get(t, h, "/x?mode=late"); w.Code != http.StatusAccepted {
+		t.Errorf("late panic: status %d, want the 202 already sent", w.Code)
+	}
+	if got := metricValue(t, get(t, s.Handler(), "/metricsz").Body.String(), "sv_panics_total"); got != 2 {
+		t.Errorf("sv_panics_total = %d, want 2", got)
+	}
+	if w := get(t, h, "/x"); w.Code != http.StatusOK || w.Body.String() != "ok" {
+		t.Errorf("request after the panics: status %d body %q", w.Code, w.Body.String())
+	}
+	// http.ErrAbortHandler is net/http's abort signal, not a fault.
+	abort := s.recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) }))
+	func() {
+		defer func() {
+			if v := recover(); v != http.ErrAbortHandler {
+				t.Errorf("ErrAbortHandler recovered as %v", v)
+			}
+		}()
+		get(t, abort, "/x")
+	}()
+	if got := s.panics.Load(); got != 2 {
+		t.Errorf("ErrAbortHandler counted as a panic: %d", got)
 	}
 }

@@ -22,10 +22,10 @@
 // Everything the paper describes is included: Algorithm derive (Fig. 5),
 // the materialization semantics of Section 3.3 with soundness and
 // completeness checking, the dynamic-programming query rewriter (Fig. 6)
-// with recursive-view unfolding (Section 4.2), the approximate-containment
-// optimizer (Fig. 10), the naive element-annotation baseline of Section 6
-// (repro/internal/naive), and the Table 1 benchmark harness
-// (bench_test.go, cmd/svbench).
+// with height-free recursive views (Section 4.2's unfolding is kept as a
+// test oracle), the approximate-containment optimizer (Fig. 10), the
+// naive element-annotation baseline of Section 6 (repro/internal/naive),
+// and the Table 1 benchmark harness (bench_test.go, cmd/svbench).
 package securexml
 
 import (
@@ -64,8 +64,8 @@ type (
 	// Engine enforces one bound access policy end to end (Fig. 3), with
 	// a bounded plan cache in front of the rewrite+optimize stages.
 	Engine = core.Engine
-	// EngineConfig tunes an engine's serving layer: cache capacities,
-	// indexed evaluation, and the answer cache.
+	// EngineConfig tunes an engine's serving layer: indexed evaluation
+	// and the answer cache.
 	EngineConfig = core.Config
 	// EngineStats is a snapshot of an engine's query, cache, and
 	// evaluation counters.
