@@ -31,10 +31,12 @@ bench:
 # allocs/op shows here before it shows in servebench's zipf-contain.
 # BenchmarkRewriteWidth is Ablation B at |p| up to 10⁴: a plan-memo
 # regression that makes rewrite or optimize superlinear in the query
-# shows in its ns/op and cells/node.
+# shows in its ns/op and cells/node. BenchmarkImage and BenchmarkSimulate
+# are Ablation C: image builds reuse the optimizer's flat scratch store,
+# so their allocs/op stay a handful whatever nodes/op reads.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkQualifiedScan|BenchmarkAnswerCacheLookup|BenchmarkRewriteWidth' -benchmem -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkQualifiedScan|BenchmarkAnswerCacheLookup|BenchmarkRewriteWidth|BenchmarkImage|BenchmarkSimulate' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
 	$(GO) test -run xxx -bench 'BenchmarkWriteResult' -benchmem -benchtime 1x ./internal/serve
 

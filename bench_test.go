@@ -8,6 +8,7 @@ package securexml
 //	BenchmarkRewrite/...           Ablation B: rewrite cost vs query/view size
 //	BenchmarkRewriteWidth/...      Ablation B at scale: |p| up to 10⁴ nodes
 //	BenchmarkSimulate/...          Ablation C: containment-test cost
+//	BenchmarkImage/...             Ablation C: image construction alone
 //	BenchmarkUnfold/...            Ablation D: recursive-view unfolding
 //	BenchmarkMaterializeVsRewrite  Ablation E: materialization vs rewriting
 //	BenchmarkAnnotate              naive baseline's per-policy deployment cost
@@ -331,11 +332,15 @@ func BenchmarkRewriteWidth(b *testing.B) {
 
 // ---------- Ablation C: containment-test cost ----------
 
+// BenchmarkSimulate prices one Section 5.1 containment test: both image
+// graphs built, then the Proposition 5.1 simulation between them.
 func BenchmarkSimulate(b *testing.B) {
-	for _, size := range []struct{ layers, width int }{{4, 3}, {6, 4}, {8, 4}} {
+	for _, size := range []struct{ layers, width int }{{4, 3}, {7, 3}, {6, 4}} {
 		d := layeredDTD(size.layers, size.width)
 		o := optimize.New(d)
 		// p1 wildcards simulate p2 labels: the classic Example 5.2 shape.
+		// The sizes keep p1's image under the build budget: at 8 layers
+		// its 4^7 (or 3^7) leaves overflow and nothing is proved.
 		steps := size.layers - 1
 		wild := "." + strings.Repeat("/*", steps)
 		labeled := "."
@@ -346,11 +351,45 @@ func BenchmarkSimulate(b *testing.B) {
 		p2 := xpath.MustParse(labeled)
 		b.Run(fmt.Sprintf("dtd=%d", d.Size()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				po := o.Optimize(xpath.Union{Left: p2, Right: p1})
-				if xpath.IsEmpty(po) {
-					b.Fatal("union optimized to empty")
+				if !o.Contains(p2, p1) {
+					b.Fatal("labeled path not proved contained in the wildcard path")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkImage prices image construction alone: Optimizer.Image over
+// qualifier-free unions of distinct label paths at |p| ∈ {10², 10³}
+// AST nodes over a layered DTD, and a '//'-heavy union over the
+// hospital DTD, whose spines share nodes. nodes/op is the image nodes
+// one build creates; allocs/op should not grow with it.
+func BenchmarkImage(b *testing.B) {
+	layered := layeredDTD(5, 4)
+	labelUnion := func(n int) xpath.Path {
+		var p xpath.Path = xpath.Empty{}
+		for i := 0; xpath.Size(p) < n; i++ {
+			p = xpath.MakeUnion(p, xpath.MustParse(fmt.Sprintf("L1x%d/L2x%d/L3x%d/L4x%d", i%4, i/4%4, i/16%4, i/64%4)))
+		}
+		return p
+	}
+	cases := []struct {
+		name string
+		o    *optimize.Optimizer
+		p    xpath.Path
+	}{
+		{"union/p=100", optimize.New(layered), labelUnion(100)},
+		{"union/p=1000", optimize.New(layered), labelUnion(1000)},
+		{"hospital-descend", optimize.New(dtds.Hospital()),
+			xpath.MustParse("//patient//name | //dept//bill | //treatment//* | //staffInfo//name | //clinicalTrial//wardNo")},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var img *optimize.Image
+			for i := 0; i < b.N; i++ {
+				img = c.o.Image(c.p)
+			}
+			b.ReportMetric(float64(img.Nodes()), "nodes/op")
 		})
 	}
 }

@@ -9,7 +9,7 @@ import "repro/internal/xpath"
 // others — the answer cache scanning its candidates — builds each image
 // once instead of once per pair.
 type Image struct {
-	g *igraph // nil: the query provably selects nothing
+	g igraph // in a store of its own; empty: the query provably selects nothing
 	// ok is false when construction overflowed the budget or met a
 	// construct the abstraction cannot model (Rec automata); such an
 	// image is never proved contained in anything.
@@ -17,13 +17,24 @@ type Image struct {
 }
 
 // Image builds the image graph of p evaluated at root elements of the
-// DTD. Construction reads the optimizer's shared caches, so it runs
-// under the lock; the result is immutable and safe to share.
+// DTD. Construction reads the optimizer's shared caches and builds in
+// its scratch store, so it runs under the lock; the result is an
+// exact-size copy, immutable and safe to share.
 func (o *Optimizer) Image(p xpath.Path) *Image {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	g, ok := o.image(p, o.d.Root())
 	return &Image{g: g, ok: ok}
+}
+
+// Nodes is the number of image nodes the build created, pruned ones
+// included; 0 when the query provably selects nothing or the build gave
+// up.
+func (g *Image) Nodes() int {
+	if !g.ok || g.g.empty() {
+		return 0
+	}
+	return g.g.size
 }
 
 // ContainsImage reports that the query of g1 is provably contained in
@@ -39,9 +50,9 @@ func (o *Optimizer) ContainsImage(g1, g2 *Image) bool {
 		return false
 	}
 	if !g2.ok {
-		// g1 == nil (p1 provably empty) is contained in anything, even a
-		// query the abstraction cannot model.
-		return g1.g == nil
+		// An empty g1 (p1 provably selects nothing) is contained in
+		// anything, even a query the abstraction cannot model.
+		return g1.g.empty()
 	}
 	return o.simulate(g1.g, g2.g)
 }

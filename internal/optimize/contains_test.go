@@ -151,9 +151,11 @@ func TestContainsSoundOnDocuments(t *testing.T) {
 
 // TestImageContainsConcurrent: images are immutable once built, so
 // ContainsImage may compare shared images from many goroutines while
-// others build new images and optimize queries under the lock. Run
-// under -race; every goroutine must also reach the verdicts Contains
-// reaches serially.
+// others optimize unions — whose containment tests build in the
+// optimizer's scratch store and truncate it — and retain new images
+// under the lock. Run under -race; every goroutine must also reach the
+// verdicts Contains reaches serially, over the shared images and over
+// the ones it retained itself.
 func TestImageContainsConcurrent(t *testing.T) {
 	o := New(dtds.Hospital())
 	queries := []string{"dept", "*", "//patient/name", "//patient/*", "//patient[.//trial]",
@@ -175,10 +177,16 @@ func TestImageContainsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := range queries {
-				o.Optimize(xpath.MustParse(queries[(i+g)%len(queries)] + "[name]"))
+				k := (i + g) % len(queries)
+				o.Optimize(xpath.MustParse(queries[k] + "[name]"))
+				o.Optimize(xpath.MustParse(queries[k] + " | " + queries[i] + "[name] | " + queries[(k+1)%len(queries)]))
+				own := o.Image(xpath.MustParse(queries[i]))
 				for j := range queries {
 					if got := o.ContainsImage(imgs[i], imgs[j]); got != want[i][j] {
 						t.Errorf("ContainsImage(%s, %s) = %v, Contains says %v", queries[i], queries[j], got, want[i][j])
+					}
+					if got := o.ContainsImage(own, imgs[j]); got != want[i][j] {
+						t.Errorf("ContainsImage(own %s, %s) = %v, Contains says %v", queries[i], queries[j], got, want[i][j])
 					}
 				}
 			}

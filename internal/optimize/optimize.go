@@ -23,7 +23,12 @@ type Optimizer struct {
 	memo     *xpath.Memo
 	recReach map[string][]string
 	recPaths map[string]map[string]xpath.Path
-	reaching map[string]map[string]bool
+
+	// scratch holds the image graphs of the union cells' containment
+	// tests, truncated back after each test; types indexes the DTD for
+	// image builds.
+	scratch store
+	types   *typeGraph
 
 	// rules counts DTD-driven simplification decisions (impossible /
 	// guaranteed qualifiers, exclusive or implied conjuncts, union
@@ -44,7 +49,6 @@ func New(d *dtd.DTD) *Optimizer {
 		memo:     xpath.NewMemo(),
 		recReach: make(map[string][]string),
 		recPaths: make(map[string]map[string]xpath.Path),
-		reaching: make(map[string]map[string]bool),
 	}
 }
 
@@ -183,19 +187,22 @@ func (o *Optimizer) compute(i, ai int32) xpath.Cell {
 		}
 		return res
 	case xpath.Union: // case (6): drop a branch contained in the other
+		m := o.scratch.mark()
 		g1, ok1 := o.imageAt(n.L, a)
 		g2, ok2 := o.imageAt(n.R, a)
+		keep := int32(-1) // the branch that contains the other
 		if ok1 && ok2 {
 			if o.simulate(g1, g2) {
-				o.rules++
-				o.pruned++
-				return o.opt(n.R, ai)
+				keep = n.R
+			} else if o.simulate(g2, g1) {
+				keep = n.L
 			}
-			if o.simulate(g2, g1) {
-				o.rules++
-				o.pruned++
-				return o.opt(n.L, ai)
-			}
+		}
+		o.scratch.truncate(m)
+		if keep >= 0 {
+			o.rules++
+			o.pruned++
+			return o.opt(keep, ai)
 		}
 		for _, sub := range [2]int32{n.L, n.R} {
 			for _, w := range o.opt(sub, ai) {
@@ -205,7 +212,7 @@ func (o *Optimizer) compute(i, ai int32) xpath.Cell {
 		return res
 	case xpath.Qualified:
 		if _, ok := p.Sub.(xpath.Self); ok { // case (7)
-			tv, q := o.optQual(n.R, a)
+			tv, q := o.optQual(n.R, a, true)
 			switch tv {
 			case tvTrue:
 				res = res.Add(ai, xpath.Self{})
@@ -254,8 +261,18 @@ func (o *Optimizer) seq(l, r, a int32) xpath.Cell {
 
 // optQual is the paper's evaluate([q], A) for the interned qualifier i:
 // it decides the qualifier where DTD constraints fix its truth and
-// otherwise returns an equivalent, simplified qualifier.
-func (o *Optimizer) optQual(i int32, a string) (triBool, xpath.Qual) {
+// otherwise returns an equivalent, simplified qualifier. count says
+// whether its decisions go into the rule counters: image construction
+// decides qualifiers it does not keep, so it passes false.
+func (o *Optimizer) optQual(i int32, a string, count bool) (triBool, xpath.Qual) {
+	fire := func(pruned bool) {
+		if count {
+			o.rules++
+			if pruned {
+				o.pruned++
+			}
+		}
+	}
 	n := o.memo.Node(i)
 	switch q := n.Qual.(type) {
 	case xpath.QTrue:
@@ -264,26 +281,23 @@ func (o *Optimizer) optQual(i int32, a string) (triBool, xpath.Qual) {
 		return tvFalse, q
 	case xpath.QPath:
 		if o.impossible(n.L, a) {
-			o.rules++
-			o.pruned++
+			fire(true)
 			return tvFalse, xpath.QFalse{}
 		}
 		if o.guaranteed(n.L, a) {
-			o.rules++
-			o.pruned++
+			fire(true)
 			return tvTrue, xpath.QTrue{}
 		}
 		return tvUnknown, xpath.QPath{Path: o.optimizeAtLocked(n.L, a)}
 	case xpath.QEq:
 		if o.impossible(n.L, a) {
-			o.rules++
-			o.pruned++
+			fire(true)
 			return tvFalse, xpath.QFalse{}
 		}
 		return tvUnknown, xpath.QEq{Path: o.optimizeAtLocked(n.L, a), Value: q.Value, Var: q.Var}
 	case xpath.QAnd:
-		t1, q1 := o.optQual(n.L, a)
-		t2, q2 := o.optQual(n.R, a)
+		t1, q1 := o.optQual(n.L, a, count)
+		t2, q2 := o.optQual(n.R, a, count)
 		if t1 == tvFalse || t2 == tvFalse {
 			return tvFalse, xpath.QFalse{}
 		}
@@ -294,22 +308,21 @@ func (o *Optimizer) optQual(i int32, a string) (triBool, xpath.Qual) {
 			return t1, q1
 		}
 		if o.exclusive(a, q1, q2) {
-			o.rules++
-			o.pruned++
+			fire(true)
 			return tvFalse, xpath.QFalse{}
 		}
 		if o.qualImplies(q1, q2, a) {
-			o.rules++
+			fire(false)
 			return tvUnknown, q1
 		}
 		if o.qualImplies(q2, q1, a) {
-			o.rules++
+			fire(false)
 			return tvUnknown, q2
 		}
 		return tvUnknown, xpath.QAnd{Left: q1, Right: q2}
 	case xpath.QOr:
-		t1, q1 := o.optQual(n.L, a)
-		t2, q2 := o.optQual(n.R, a)
+		t1, q1 := o.optQual(n.L, a, count)
+		t2, q2 := o.optQual(n.R, a, count)
 		if t1 == tvTrue || t2 == tvTrue {
 			return tvTrue, xpath.QTrue{}
 		}
@@ -321,7 +334,7 @@ func (o *Optimizer) optQual(i int32, a string) (triBool, xpath.Qual) {
 		}
 		return tvUnknown, xpath.QOr{Left: q1, Right: q2}
 	case xpath.QNot:
-		t, sub := o.optQual(n.L, a)
+		t, sub := o.optQual(n.L, a, count)
 		if t != tvUnknown {
 			return t.not(), xpath.MakeNot(sub)
 		}

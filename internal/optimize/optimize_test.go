@@ -90,7 +90,7 @@ func TestExample52And53(t *testing.T) {
 	g1, ok1 := o.image(t1, at)
 	g2, ok2 := o.image(t2, at)
 	g3, ok3 := o.image(t3, at)
-	if !ok1 || !ok2 || !ok3 || g1 == nil || g2 == nil || g3 == nil {
+	if !ok1 || !ok2 || !ok3 || g1.empty() || g2.empty() || g3.empty() {
 		t.Fatalf("images empty: %v %v %v", g1, g2, g3)
 	}
 	// Example 5.3: p2, p3 ⊑ p1; p3 ⊑ p2; but p2's image is NOT simulated
@@ -109,21 +109,22 @@ func TestExample52And53(t *testing.T) {
 	}
 	// The qualifier [b] is true at a (concatenation production) and must
 	// have been removed from all three images: no qual nodes anywhere.
-	for i, g := range []*igraph{g1, g2, g3} {
-		if countQuals(g.root, make(map[*inode]bool)) != 0 {
+	for i, g := range []igraph{g1, g2, g3} {
+		if countQuals(g, g.root, make(map[int32]bool)) != 0 {
 			t.Errorf("image %d kept qualifiers", i+1)
 		}
 	}
 }
 
-func countQuals(n *inode, seen map[*inode]bool) int {
+func countQuals(g igraph, n int32, seen map[int32]bool) int {
 	if seen[n] {
 		return 0
 	}
 	seen[n] = true
-	total := len(n.quals)
-	for _, k := range n.kids {
-		total += countQuals(k, seen)
+	v := g.s.nodes[n]
+	total := int(v.quals.n)
+	for _, k := range g.s.kids[v.kids.off : v.kids.off+v.kids.n] {
+		total += countQuals(g, k, seen)
 	}
 	return total
 }
@@ -447,7 +448,7 @@ medication -> #PCDATA
 	o := New(d)
 	left := xpath.MustParse("(//.)/wardNo")
 	g1, ok := o.image(left, "hospital")
-	if !ok || g1 == nil {
+	if !ok || g1.empty() {
 		t.Fatalf("image of a live query is empty")
 	}
 	doc := hospitalInstanceDoc()

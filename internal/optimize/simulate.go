@@ -1,6 +1,10 @@
 package optimize
 
-import "repro/internal/xpath"
+import (
+	"sync"
+
+	"repro/internal/xpath"
+)
 
 // simulate reports whether g1 is simulated by g2: a sound witness that
 // the query of g1 is contained in the query of g2 at their common root
@@ -19,43 +23,64 @@ import "repro/internal/xpath"
 // Spine sharing can make image graphs cyclic for recursive DTDs; the
 // recursion assumes in-progress pairs hold (coinductive, greatest
 // fixpoint), keeping the test quadratic in the image sizes.
-func (o *Optimizer) simulate(g1, g2 *igraph) bool {
-	if g1 == nil {
+func (o *Optimizer) simulate(g1, g2 igraph) bool {
+	if g1.empty() {
 		return true // the empty query is contained in everything
 	}
-	if g2 == nil {
+	if g2.empty() {
 		return false
 	}
-	s := &simState{o: o, memo: make(map[[2]*inode]bool)}
-	return s.simu(g1.root, g2.root)
+	s := simStates.Get().(*simState)
+	s.o, s.s1, s.s2 = o, g1.s, g2.s
+	ok := s.simu(g1.root, g2.root)
+	s.o, s.s1, s.s2 = nil, nil, nil
+	if len(s.memo) <= maxPooledMemo {
+		clear(s.memo)
+		simStates.Put(s)
+	}
+	return ok
 }
 
+// simState is one simulation's memo over (g1 node, g2 node) index
+// pairs. It is private to the call — images are shared read-only, so
+// the simulation writes nothing into them — and pooled so that a test
+// reuses an earlier one's table.
 type simState struct {
-	o    *Optimizer
-	memo map[[2]*inode]bool
+	o      *Optimizer
+	s1, s2 *store
+	memo   map[uint64]bool
 }
 
-func (s *simState) simu(v1, v2 *inode) bool {
-	if v1.label != v2.label {
+var simStates = sync.Pool{New: func() any { return &simState{memo: make(map[uint64]bool)} }}
+
+// maxPooledMemo keeps the memo of an unusually large simulation out of
+// the pool, whose tables are cleared in time proportional to their size.
+const maxPooledMemo = 1 << 14
+
+func (s *simState) simu(v1, v2 int32) bool {
+	n1, n2 := &s.s1.nodes[v1], &s.s2.nodes[v2]
+	if n1.label != n2.label {
 		return false
 	}
-	if v1.frontier && !v2.frontier {
+	if n1.frontier && !n2.frontier {
 		return false
 	}
-	key := [2]*inode{v1, v2}
+	key := uint64(uint32(v1))<<32 | uint64(uint32(v2))
 	if ok, seen := s.memo[key]; seen {
 		return ok
 	}
 	s.memo[key] = true // coinductive assumption for cycles
-	ok := s.check(v1, v2)
+	ok := s.check(n1, n2)
 	s.memo[key] = ok
 	return ok
 }
 
 func (s *simState) check(v1, v2 *inode) bool {
-	for _, x := range v1.kids {
+	kids1 := s.s1.kids[v1.kids.off : v1.kids.off+v1.kids.n]
+	kids2 := s.s2.kids[v2.kids.off : v2.kids.off+v2.kids.n]
+	for _, x := range kids1 {
 		matched := false
-		for _, y := range v2.kids {
+		for _, y := range kids2 {
 			if s.simu(x, y) {
 				matched = true
 				break
@@ -65,9 +90,10 @@ func (s *simState) check(v1, v2 *inode) bool {
 			return false
 		}
 	}
-	for _, y := range v2.quals {
+	quals1 := s.s1.quals[v1.quals.off : v1.quals.off+v1.quals.n]
+	for _, y := range s.s2.quals[v2.quals.off : v2.quals.off+v2.quals.n] {
 		matched := false
-		for _, x := range v1.quals {
+		for _, x := range quals1 {
 			if x.at == y.at && s.o.qualImplies(x.q, y.q, x.at) {
 				matched = true
 				break
