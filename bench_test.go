@@ -7,6 +7,7 @@ package securexml
 //	BenchmarkDerive/...            Ablation A: derive cost vs DTD size
 //	BenchmarkRewrite/...           Ablation B: rewrite cost vs query/view size
 //	BenchmarkRewriteWidth/...      Ablation B at scale: |p| up to 10⁴ nodes
+//	BenchmarkSimplify/...          the simplification laws ending B and C
 //	BenchmarkSimulate/...          Ablation C: containment-test cost
 //	BenchmarkImage/...             Ablation C: image construction alone
 //	BenchmarkUnfold/...            Ablation D: recursive-view unfolding
@@ -327,6 +328,76 @@ func BenchmarkRewriteWidth(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSimplify prices the ∅/ε/constant laws that end every
+// rewrite and optimize, on the optimized plan of a 100-node union of
+// //patient[.//bill = "yI"]//name branches over the hospital nurse view.
+// "simplified" feeds the plan back in: no law fires, so Simplify returns
+// its argument and allocates nothing. "leaf-law" first wraps the plan's
+// leftmost leaf l as l/ε, so one law fires there and Simplify rebuilds
+// only the spine above it: allocs/op equals the spine metric.
+func BenchmarkSimplify(b *testing.B) {
+	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	view, err := secview.Derive(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rw, err := rewrite.ForView(view)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var p xpath.Path = xpath.Empty{}
+	for i := 0; xpath.Size(p) < 100; i++ {
+		p = xpath.MakeUnion(p, xpath.MustParse(fmt.Sprintf(`//patient[.//bill = "y%d"]//name`, i)))
+	}
+	pt, err := rw.Rewrite(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := optimize.New(view.Doc).Optimize(pt)
+	leafLaw, spine := lawAtLeftmostLeaf(plan)
+	if got, want := xpath.String(xpath.Simplify(leafLaw)), xpath.String(plan); got != want {
+		b.Fatalf("leaf law simplified to %s, want %s", got, want)
+	}
+	for _, c := range []struct {
+		name  string
+		p     xpath.Path
+		spine int
+	}{{"simplified", plan, 0}, {"leaf-law", leafLaw, spine}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				xpath.Simplify(c.p)
+			}
+			b.ReportMetric(float64(xpath.Size(c.p)), "nodes/op")
+			b.ReportMetric(float64(c.spine), "spine")
+		})
+	}
+}
+
+// lawAtLeftmostLeaf returns p with its leftmost leaf l replaced by l/ε,
+// and the number of nodes above that leaf.
+func lawAtLeftmostLeaf(p xpath.Path) (xpath.Path, int) {
+	switch n := p.(type) {
+	case xpath.Seq:
+		l, d := lawAtLeftmostLeaf(n.Left)
+		return xpath.Seq{Left: l, Right: n.Right}, d + 1
+	case xpath.Union:
+		l, d := lawAtLeftmostLeaf(n.Left)
+		return xpath.Union{Left: l, Right: n.Right}, d + 1
+	case xpath.Descend:
+		s, d := lawAtLeftmostLeaf(n.Sub)
+		return xpath.Descend{Sub: s}, d + 1
+	case xpath.Qualified:
+		s, d := lawAtLeftmostLeaf(n.Sub)
+		return xpath.Qualified{Sub: s, Cond: n.Cond}, d + 1
+	default:
+		return xpath.Seq{Left: p, Right: xpath.Self{}}, 0
 	}
 }
 

@@ -490,9 +490,18 @@ func (e *Engine) QueryString(doc *xmltree.Document, query string) ([]*xmltree.No
 	return e.QueryStringCtx(context.Background(), doc, query)
 }
 
-// QueryStringCtx is QueryCtx with parsing.
+// QueryStringCtx is QueryCtx with parsing. A context carrying a
+// QueryMetrics carrier gets the parse time in its Parse field.
 func (e *Engine) QueryStringCtx(ctx context.Context, doc *xmltree.Document, query string) ([]*xmltree.Node, error) {
+	qm := obs.QueryMetricsFromContext(ctx)
+	var start time.Time
+	if qm != nil {
+		start = time.Now()
+	}
 	p, err := xpath.Parse(query)
+	if qm != nil {
+		qm.Parse = time.Since(start)
+	}
 	if err != nil {
 		return nil, err
 	}

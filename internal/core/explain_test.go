@@ -110,8 +110,8 @@ func TestQueryMetricsCarrier(t *testing.T) {
 	if qm.PlanCacheHit {
 		t.Error("cold query reported a plan-cache hit")
 	}
-	if qm.Rewrite <= 0 || qm.Optimize <= 0 || qm.Eval <= 0 {
-		t.Errorf("cold phases: rewrite=%v optimize=%v eval=%v", qm.Rewrite, qm.Optimize, qm.Eval)
+	if qm.Parse <= 0 || qm.Rewrite <= 0 || qm.Optimize <= 0 || qm.Eval <= 0 {
+		t.Errorf("cold phases: parse=%v rewrite=%v optimize=%v eval=%v", qm.Parse, qm.Rewrite, qm.Optimize, qm.Eval)
 	}
 	if qm.EvalMode != obs.ModeSequential || qm.NodesVisited == 0 {
 		t.Errorf("eval accounting: mode=%q nodes=%d", qm.EvalMode, qm.NodesVisited)
@@ -133,7 +133,7 @@ func TestQueryMetricsCarrier(t *testing.T) {
 	if qm2.Rewritten != qm.Rewritten || qm2.Optimized != qm.Optimized {
 		t.Errorf("cached plan strings differ: %q vs %q", qm2.Rewritten, qm.Rewritten)
 	}
-	if qm2.Eval <= 0 {
-		t.Errorf("warm eval duration = %v", qm2.Eval)
+	if qm2.Parse <= 0 || qm2.Eval <= 0 {
+		t.Errorf("warm parse/eval durations = %v / %v", qm2.Parse, qm2.Eval)
 	}
 }

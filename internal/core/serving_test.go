@@ -374,3 +374,35 @@ func TestEvalPreparedBareMatchesInstrumented(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePhaseAllocFree: timing the parse phase into a QueryMetrics
+// carrier adds no allocation — a warm QueryStringCtx allocates the same
+// with a carrier as without one, beyond the carrier's own context value.
+func TestParsePhaseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop evaluation state at random")
+	}
+	e := nurseEngine(t, "1")
+	doc := dtds.GenerateHospital(3, 3)
+	const q = "//patient/name"
+	var qm obs.QueryMetrics
+	bare, withQM := context.Background(), obs.WithQueryMetrics(context.Background(), &qm)
+	if _, err := e.QueryStringCtx(withQM, doc, q); err != nil {
+		t.Fatalf("QueryStringCtx: %v", err)
+	}
+	run := func(ctx context.Context) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := e.QueryStringCtx(ctx, doc, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	without, with := run(bare), run(withQM)
+	t.Logf("warm QueryStringCtx: %.0f allocs with a carrier, %.0f without", with, without)
+	if with > without {
+		t.Errorf("warm QueryStringCtx: %.0f allocs with a carrier, %.0f without", with, without)
+	}
+	if qm.Parse <= 0 || !qm.PlanCacheHit {
+		t.Errorf("carrier not filled: parse=%v plan_cache_hit=%t", qm.Parse, qm.PlanCacheHit)
+	}
+}

@@ -34,10 +34,13 @@ const (
 // request (the pipeline is sequential within one request) and read only
 // after the pipeline returns, so plain fields suffice.
 type QueryMetrics struct {
-	// Rewrite, Optimize, and Eval are the time spent in each phase for
-	// this request. A plan-cache hit skips rewrite and optimize, so
-	// those report 0 — per-phase histograms over many requests then
-	// honestly show where wall time went, cache and all.
+	// Parse, Rewrite, Optimize, and Eval are the time spent in each
+	// phase for this request. Parse is timed only when the pipeline
+	// starts from query text (core.Engine.QueryStringCtx). A plan-cache
+	// hit skips rewrite and optimize, so those report 0 — per-phase
+	// histograms over many requests then honestly show where wall time
+	// went, cache and all.
+	Parse    time.Duration
 	Rewrite  time.Duration
 	Optimize time.Duration
 	Eval     time.Duration

@@ -130,7 +130,7 @@ func TestMetricszExposition(t *testing.T) {
 	if pipeline != n {
 		t.Errorf("sv_pipeline_total = %d, want %d", pipeline, n)
 	}
-	for _, phase := range []string{"rewrite", "optimize", "eval"} {
+	for _, phase := range []string{"parse", "rewrite", "optimize", "eval"} {
 		sample := fmt.Sprintf(`sv_phase_duration_seconds_count{phase=%q}`, phase)
 		if got := metricValue(t, body, sample); got != pipeline {
 			t.Errorf("%s = %d, want pipeline count %d", sample, got, pipeline)
@@ -180,7 +180,7 @@ func TestStatszPipelineSection(t *testing.T) {
 	if p.BitsetEvals != 3 || p.SliceEvals != 0 {
 		t.Errorf("eval reprs = %d bitset / %d slice, want 3/0 on a compacted document", p.BitsetEvals, p.SliceEvals)
 	}
-	for _, phase := range []string{"rewrite", "optimize", "eval"} {
+	for _, phase := range []string{"parse", "rewrite", "optimize", "eval"} {
 		lat, ok := p.Phases[phase]
 		if !ok || lat.Count != p.Count {
 			t.Errorf("phase %q: %+v (want count %d)", phase, lat, p.Count)
@@ -188,6 +188,9 @@ func TestStatszPipelineSection(t *testing.T) {
 	}
 	if p.Phases["eval"].SumMicros == 0 {
 		t.Error("eval phase sum is zero across 3 queries")
+	}
+	if p.Phases["parse"].MaxMicros == 0 {
+		t.Errorf("parse phase never timed: %+v", p.Phases["parse"])
 	}
 }
 

@@ -262,6 +262,11 @@ func TestEventLog(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("event line %q: %v", sc.Text(), err)
 		}
+		for _, field := range []string{`"parse_us":`, `"rewrite_us":`, `"optimize_us":`, `"eval_us":`} {
+			if !strings.Contains(sc.Text(), field) {
+				t.Errorf("event line lacks %s: %.200s", field, sc.Text())
+			}
+		}
 		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {

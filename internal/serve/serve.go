@@ -9,7 +9,7 @@
 //	/query    answer one view query
 //	/statsz   JSON counters (server + per-class engine/plan caches)
 //	/metricsz Prometheus text exposition of the same counters plus
-//	          per-phase (rewrite/optimize/eval) latency histograms
+//	          per-phase (parse/rewrite/optimize/eval) latency histograms
 //	/queryz   per-fingerprint query statistics (internal/qstats): the
 //	          top-K query shapes by cumulative eval time, count, or
 //	          answer-cache miss rate
@@ -140,13 +140,14 @@ func (c Config) slowThreshold() time.Duration {
 
 // Phase indices for the per-phase duration digests.
 const (
-	phaseRewrite = iota
+	phaseParse = iota
+	phaseRewrite
 	phaseOptimize
 	phaseEval
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"rewrite", "optimize", "eval"}
+var phaseNames = [numPhases]string{"parse", "rewrite", "optimize", "eval"}
 
 // Server serves rewritten-query requests for one document and one
 // policy registry. It is safe for concurrent use.
@@ -271,7 +272,7 @@ func (s *Server) registerMetrics() {
 	for i := range s.phases {
 		m.HistogramFunc("sv_phase_duration_seconds", phaseHelp, s.phases[i].Snapshot, obs.L("phase", phaseNames[i]))
 	}
-	m.CounterFunc("sv_pipeline_total", "Queries that completed the rewrite-optimize-eval pipeline.", s.pipeline.Load)
+	m.CounterFunc("sv_pipeline_total", "Queries that completed the parse-rewrite-optimize-eval pipeline.", s.pipeline.Load)
 	const planHelp = "Plan-cache outcomes for completed pipelines."
 	m.CounterFunc("sv_plan_cache_total", planHelp, s.planHits.Load, obs.L("result", "hit"))
 	m.CounterFunc("sv_plan_cache_total", planHelp, s.planMisses.Load, obs.L("result", "miss"))
@@ -608,13 +609,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // observePipeline feeds one successfully answered request's per-phase
-// accounting into the always-on metrics. All three phase digests are
+// accounting into the always-on metrics. All four phase digests are
 // observed exactly once per call — a plan-cache hit contributes a zero
 // rewrite/optimize duration rather than no sample — so each phase
 // histogram's count equals sv_pipeline_total by construction, and the
 // per-phase sums show where wall time actually went, cache and all.
 func (s *Server) observePipeline(qm *obs.QueryMetrics) {
 	s.pipeline.Add(1)
+	s.phases[phaseParse].Observe(qm.Parse)
 	s.phases[phaseRewrite].Observe(qm.Rewrite)
 	s.phases[phaseOptimize].Observe(qm.Optimize)
 	s.phases[phaseEval].Observe(qm.Eval)
@@ -718,6 +720,7 @@ type queryEvent struct {
 	Fingerprint string `json:"fingerprint"`
 
 	TotalUs    int64 `json:"total_us"`
+	ParseUs    int64 `json:"parse_us"`
 	RewriteUs  int64 `json:"rewrite_us"`
 	OptimizeUs int64 `json:"optimize_us"`
 	EvalUs     int64 `json:"eval_us"`
@@ -764,8 +767,8 @@ func (s *Server) recordQuery(id uint64, req *queryRequest, elapsed time.Duration
 	}
 	if s.cfg.EventLog == nil {
 		if slow {
-			s.logf("svserve: slow query id=%d class=%s q=%q status=%d total=%v rewrite=%v optimize=%v eval=%v plan_cache_hit=%t mode=%s",
-				id, req.class, truncateForLog(req.query), status, elapsed, qm.Rewrite, qm.Optimize, qm.Eval, qm.PlanCacheHit, qm.EvalMode)
+			s.logf("svserve: slow query id=%d class=%s q=%q status=%d total=%v parse=%v rewrite=%v optimize=%v eval=%v plan_cache_hit=%t mode=%s",
+				id, req.class, truncateForLog(req.query), status, elapsed, qm.Parse, qm.Rewrite, qm.Optimize, qm.Eval, qm.PlanCacheHit, qm.EvalMode)
 		}
 		return
 	}
@@ -796,6 +799,7 @@ func (s *Server) recordQuery(id uint64, req *queryRequest, elapsed time.Duration
 		Query:          truncateForLog(req.query),
 		Fingerprint:    qstats.Fingerprint(req.class, plan),
 		TotalUs:        elapsed.Microseconds(),
+		ParseUs:        qm.Parse.Microseconds(),
 		RewriteUs:      qm.Rewrite.Microseconds(),
 		OptimizeUs:     qm.Optimize.Microseconds(),
 		EvalUs:         qm.Eval.Microseconds(),

@@ -123,16 +123,11 @@ func (g *RecGraph) bindVars(env map[string]string) (*RecGraph, error) {
 	return NewRecGraph(edges), nil
 }
 
-// collectVars accumulates the distinct $parameters of all σ edges.
-func (g *RecGraph) collectVars(seen map[string]bool, out *[]string) {
+// collectVars adds the distinct $parameters of all σ edges.
+func (g *RecGraph) collectVars(vs *varSet) {
 	for _, s := range g.states {
 		for _, e := range g.edges[s] {
-			for _, v := range Vars(e.Sig) {
-				if !seen[v] {
-					seen[v] = true
-					*out = append(*out, v)
-				}
-			}
+			vs.path(e.Sig)
 		}
 	}
 }

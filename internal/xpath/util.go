@@ -127,19 +127,21 @@ func Subqueries(p Path) []Path {
 	var walkPath func(Path)
 	var walkQual func(Qual)
 	walkPath = func(p Path) {
-		switch p := p.(type) {
+		switch n := p.(type) {
 		case Seq:
-			walkPath(p.Left)
-			walkPath(p.Right)
+			walkPath(n.Left)
+			walkPath(n.Right)
 		case Descend:
-			walkPath(p.Sub)
+			walkPath(n.Sub)
 		case Union:
-			walkPath(p.Left)
-			walkPath(p.Right)
+			walkPath(n.Left)
+			walkPath(n.Right)
 		case Qualified:
-			walkPath(p.Sub)
-			walkQual(p.Cond)
+			walkPath(n.Sub)
+			walkQual(n.Cond)
 		}
+		// The argument's own interface value: appending the type
+		// switch's variable would box a copy of every composite node.
 		out = append(out, p)
 	}
 	walkQual = func(q Qual) {
@@ -332,36 +334,91 @@ func BindQualVars(q Qual, env map[string]string) (Qual, error) {
 	}
 }
 
-// Vars returns the distinct parameter names occurring in the query.
+// Vars returns the distinct parameter names occurring in the query, in
+// the order of the Qualified and Rec nodes that bind them ascending the
+// parse tree (the order of Subqueries). It walks the tree in place and
+// allocates only when it finds a parameter, so the per-request call on
+// a variable-free query is free.
 func Vars(p Path) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, sub := range Subqueries(p) {
-		switch sub := sub.(type) {
-		case Qualified:
-			collectQualVars(sub.Cond, seen, &out)
-		case Rec:
-			sub.G.collectVars(seen, &out)
-		}
-	}
-	return out
+	var vs varSet
+	vs.path(p)
+	return vs.names
 }
 
-func collectQualVars(q Qual, seen map[string]bool, out *[]string) {
+// varSet collects distinct parameter names in first-occurrence order.
+// Its set is made on the first name, so a variable-free walk allocates
+// nothing; it is a map because query text, and with it the number of
+// distinct names, comes from the client.
+type varSet struct {
+	names []string
+	seen  map[string]bool
+}
+
+func (vs *varSet) add(name string) {
+	if vs.seen == nil {
+		vs.seen = make(map[string]bool)
+	}
+	if !vs.seen[name] {
+		vs.seen[name] = true
+		vs.names = append(vs.names, name)
+	}
+}
+
+// path visits p's sub-queries in Subqueries order: children (including
+// the paths inside a qualifier) before the node itself.
+func (vs *varSet) path(p Path) {
+	switch p := p.(type) {
+	case Seq:
+		vs.path(p.Left)
+		vs.path(p.Right)
+	case Descend:
+		vs.path(p.Sub)
+	case Union:
+		vs.path(p.Left)
+		vs.path(p.Right)
+	case Qualified:
+		vs.path(p.Sub)
+		vs.qualPaths(p.Cond)
+		vs.qualVars(p.Cond)
+	case Rec:
+		p.G.collectVars(vs)
+	}
+}
+
+// qualPaths visits the paths nested in a qualifier.
+func (vs *varSet) qualPaths(q Qual) {
+	switch q := q.(type) {
+	case QPath:
+		vs.path(q.Path)
+	case QEq:
+		vs.path(q.Path)
+	case QAnd:
+		vs.qualPaths(q.Left)
+		vs.qualPaths(q.Right)
+	case QOr:
+		vs.qualPaths(q.Left)
+		vs.qualPaths(q.Right)
+	case QNot:
+		vs.qualPaths(q.Sub)
+	}
+}
+
+// qualVars adds the parameters a qualifier compares against, without
+// descending into its paths (qualPaths has visited those).
+func (vs *varSet) qualVars(q Qual) {
 	switch q := q.(type) {
 	case QEq:
-		if q.Var != "" && !seen[q.Var] {
-			seen[q.Var] = true
-			*out = append(*out, q.Var)
+		if q.Var != "" {
+			vs.add(q.Var)
 		}
 	case QAnd:
-		collectQualVars(q.Left, seen, out)
-		collectQualVars(q.Right, seen, out)
+		vs.qualVars(q.Left)
+		vs.qualVars(q.Right)
 	case QOr:
-		collectQualVars(q.Left, seen, out)
-		collectQualVars(q.Right, seen, out)
+		vs.qualVars(q.Left)
+		vs.qualVars(q.Right)
 	case QNot:
-		collectQualVars(q.Sub, seen, out)
+		vs.qualVars(q.Sub)
 	}
 }
 

@@ -106,8 +106,10 @@ EOF
 echo "netsmoke: /metricsz validates as Prometheus text exposition"
 curl -fsS "$BASE/metricsz" >"$WORK/metrics.txt" || fail "/metricsz request failed"
 "$WORK/bin/promcheck" "$WORK/metrics.txt" || fail "/metricsz failed promcheck"
-grep -q '^sv_phase_duration_seconds_count{phase="rewrite"}' "$WORK/metrics.txt" ||
-    fail "/metricsz missing per-phase histogram"
+for phase in parse rewrite optimize eval; do
+    grep -q "^sv_phase_duration_seconds_count{phase=\"$phase\"}" "$WORK/metrics.txt" ||
+        fail "/metricsz missing the $phase phase histogram"
+done
 # The Zipf-skewed run repeats hot queries, so the answer cache must have
 # served some of them.
 awk '$1 == "sv_anscache_hits_total" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
